@@ -178,6 +178,7 @@ Env::Env() {
   metrics_ = std::move(result.metrics);
   series_ = std::move(result.series);
   anomalies_ = std::move(result.anomalies);
+  stores_ = result.stores;
 
   if (const char* trace_path = std::getenv("DOHPERF_TRACE")) {
     capture_trace(*world_, trace_path);
@@ -261,19 +262,25 @@ void print_banner(const std::string& title) {
                 static_cast<unsigned long long>(hist.count()),
                 hist.quantile_ms(0.5), hist.quantile_ms(0.99));
   }
-  const obs::AnomalyCounts& a = env.anomalies().counts();
-  std::printf(
-      "flight recorder: %llu flows examined | %llu anomalous "
-      "(%llu slow, %llu give-up, %llu fallback, %llu brownout) | "
-      "%zu retained, %llu evicted\n",
-      static_cast<unsigned long long>(a.flows),
-      static_cast<unsigned long long>(a.anomalous),
-      static_cast<unsigned long long>(a.slow),
-      static_cast<unsigned long long>(a.give_up),
-      static_cast<unsigned long long>(a.fallback),
-      static_cast<unsigned long long>(a.brownout),
-      env.anomalies().retained().size(),
-      static_cast<unsigned long long>(a.evicted));
+  // Zero counts from a recorder that never ran would read as "no
+  // anomalies", so say that it was off.
+  if ((env.stores() & measure::store::kRecorder) == 0) {
+    std::printf("flight recorder: off (no anomalies_dir declared)\n");
+  } else {
+    const obs::AnomalyCounts& a = env.anomalies().counts();
+    std::printf(
+        "flight recorder: %llu flows examined | %llu anomalous "
+        "(%llu slow, %llu give-up, %llu fallback, %llu brownout) | "
+        "%zu retained, %llu evicted\n",
+        static_cast<unsigned long long>(a.flows),
+        static_cast<unsigned long long>(a.anomalous),
+        static_cast<unsigned long long>(a.slow),
+        static_cast<unsigned long long>(a.give_up),
+        static_cast<unsigned long long>(a.fallback),
+        static_cast<unsigned long long>(a.brownout),
+        env.anomalies().retained().size(),
+        static_cast<unsigned long long>(a.evicted));
+  }
   std::printf("\n");
 }
 

@@ -75,10 +75,12 @@ class Env {
   /// DOHPERF_THREADS value).
   [[nodiscard]] const obs::MetricSeries& series() const { return series_; }
   /// Anomaly flight recorder, finalized after the merge (bit-identical
-  /// for every DOHPERF_THREADS value).
+  /// for every DOHPERF_THREADS value). Empty unless the run kept it.
   [[nodiscard]] const obs::FlightRecorder& anomalies() const {
     return anomalies_;
   }
+  /// The observability stores the run recorded (measure::store bits).
+  [[nodiscard]] unsigned stores() const { return stores_; }
 
  private:
   Env();
@@ -90,6 +92,7 @@ class Env {
   obs::Metrics metrics_;
   obs::MetricSeries series_;
   obs::FlightRecorder anomalies_;
+  unsigned stores_ = 0;
 };
 
 /// Prints the standard bench banner (scenario, scale, client counts,

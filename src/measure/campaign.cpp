@@ -78,20 +78,22 @@ struct ShardView {
   world::SimContext* replica = nullptr;  ///< nullptr = world's own stack.
   /// Shard-private metrics registry; sessions record into it without
   /// synchronisation and the campaign merges the registries in canonical
-  /// shard order after the join.
+  /// shard order after the join. The stores below follow the same
+  /// ownership and merge story, and are nullptr when the run does not
+  /// record them (CampaignConfig::stores).
   obs::Metrics* metrics = nullptr;
-  /// Shard-private sim-time series; same ownership and merge story.
+  /// Shard-private sim-time series.
   obs::MetricSeries* series = nullptr;
-  /// Shard-private anomaly flight recorder; same ownership and merge
-  /// story (canonical-order retention makes the merge layout-proof).
+  /// Shard-private anomaly flight recorder (canonical-order retention
+  /// makes the merge layout-proof).
   obs::FlightRecorder* recorder = nullptr;
-  /// Shard-private SLO outcome tracker; same ownership and merge story
-  /// (integer counts keyed by (provider, country, window)). nullptr on
-  /// the anomaly replay pass so replays never double-record outcomes.
+  /// Shard-private SLO outcome tracker (integer counts keyed by
+  /// (provider, country, window)). nullptr on the anomaly replay pass so
+  /// replays never double-record outcomes.
   obs::SloTracker* slo = nullptr;
-  /// Shard-private attribution ledger; same ownership and merge story
-  /// (integer microsecond sums and log-bucket sketches keyed by
-  /// (provider, country, transport)). nullptr on the replay pass.
+  /// Shard-private attribution ledger (integer microsecond sums and
+  /// log-bucket sketches keyed by (provider, country, transport)).
+  /// nullptr on the replay pass.
   obs::AttributionLedger* attribution = nullptr;
 
   resolver::DohServer& doh(std::size_t p, std::size_t i) {
@@ -934,9 +936,7 @@ std::vector<ShardProfile> execute_campaign(
     world::WorldModel& world, const CampaignConfig& config,
     const netsim::Rng& root, const CampaignPlan& plan, int shards,
     std::vector<SessionOutput>* retained, std::vector<StreamSink>* sinks,
-    obs::Metrics& metrics, obs::MetricSeries& series,
-    obs::FlightRecorder& recorder, obs::SloTracker& slo,
-    obs::AttributionLedger& attribution) {
+    ObsStores& out) {
   // One metrics registry, one sim-time series, and one flight recorder
   // per shard; sessions record without contention and everything merges
   // below in canonical shard order. Counter/bucket arithmetic is
@@ -953,14 +953,28 @@ std::vector<ShardProfile> execute_campaign(
   std::vector<obs::AttributionLedger> shard_attribution(n_shards);
   std::vector<ShardProfile> profiles(n_shards);
 
+  // A store the run does not record is never attached: its shard copies
+  // stay empty, so the merges below produce the empty store.
+  const auto view_of = [&](std::size_t si, netsim::Simulator& sim,
+                           world::SimContext* replica) {
+    const auto attach = [&](unsigned bit, auto& stores) {
+      return (config.stores & bit) != 0 ? &stores[si] : nullptr;
+    };
+    return ShardView{world,
+                     sim,
+                     replica,
+                     &shard_metrics[si],
+                     attach(store::kSeries, shard_series),
+                     attach(store::kRecorder, shard_recorders),
+                     attach(store::kSlo, shard_slo),
+                     attach(store::kAttribution, shard_attribution)};
+  };
+
   if (shards == 0) {
     // Serial reference path: the world's own simulator and servers.
-    profiles[0] = run_shard(
-        ShardView{world, world.sim(), nullptr, &shard_metrics[0],
-                  &shard_series[0], &shard_recorders[0], &shard_slo[0],
-                  &shard_attribution[0]},
-        0, 1, config, root, plan, retained,
-        sinks != nullptr ? &(*sinks)[0] : nullptr);
+    profiles[0] = run_shard(view_of(0, world.sim(), nullptr), 0, 1, config,
+                            root, plan, retained,
+                            sinks != nullptr ? &(*sinks)[0] : nullptr);
   } else {
     std::vector<std::thread> workers;
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards));
@@ -974,11 +988,8 @@ std::vector<ShardProfile> execute_campaign(
               world.make_replica();
           const auto si = static_cast<std::size_t>(s);
           profiles[si] = run_shard(
-              ShardView{world, replica->sim(), replica.get(),
-                        &shard_metrics[si], &shard_series[si],
-                        &shard_recorders[si], &shard_slo[si],
-                        &shard_attribution[si]},
-              s, shards, config, root, plan, retained,
+              view_of(si, replica->sim(), replica.get()), s, shards, config,
+              root, plan, retained,
               sinks != nullptr ? &(*sinks)[si] : nullptr);
         } catch (...) {
           errors[static_cast<std::size_t>(s)] = std::current_exception();
@@ -991,23 +1002,26 @@ std::vector<ShardProfile> execute_campaign(
     }
   }
 
-  metrics.clear();
-  for (const obs::Metrics& m : shard_metrics) metrics.merge(m);
-  series = obs::MetricSeries(config.series_window);
-  for (const obs::MetricSeries& s : shard_series) series.merge(s);
-  recorder = obs::FlightRecorder(config.anomalies);
-  for (const obs::FlightRecorder& r : shard_recorders) recorder.merge(r);
-  recorder.finalize();
-  slo = obs::SloTracker(config.slo);
-  for (const obs::SloTracker& t : shard_slo) slo.merge(t);
-  attribution.clear();
+  out.metrics.clear();
+  for (const obs::Metrics& m : shard_metrics) out.metrics.merge(m);
+  out.series = obs::MetricSeries(config.series_window);
+  for (const obs::MetricSeries& s : shard_series) out.series.merge(s);
+  out.anomalies = obs::FlightRecorder(config.anomalies);
+  for (const obs::FlightRecorder& r : shard_recorders) {
+    out.anomalies.merge(r);
+  }
+  out.anomalies.finalize();
+  out.slo = obs::SloTracker(config.slo);
+  for (const obs::SloTracker& t : shard_slo) out.slo.merge(t);
+  out.attribution.clear();
   for (const obs::AttributionLedger& l : shard_attribution) {
-    attribution.merge(l);
+    out.attribution.merge(l);
   }
   // Fill in the retained anomalies' span trees by deterministically
   // re-running just those sessions (≤ ring_capacity of them) with span
   // recording on — the hot path above examined every flow span-free.
-  replay_anomaly_spans(world, config, root, plan, recorder);
+  // With the recorder off nothing was retained and no replica is built.
+  replay_anomaly_spans(world, config, root, plan, out.anomalies);
   return profiles;
 }
 
@@ -1058,8 +1072,7 @@ Dataset Campaign::run_impl(int shards) {
   std::vector<SessionOutput> outputs(plan.n_sessions);
   std::vector<ShardProfile> profiles =
       execute_campaign(world_, config_, root, plan, shards, &outputs,
-                       nullptr, metrics_, series_, recorder_, slo_,
-                       attribution_);
+                       nullptr, stores_);
 
   std::uint64_t events = 0;
   for (const ShardProfile& p : profiles) events += p.events;
@@ -1114,7 +1127,7 @@ StreamSink Campaign::run_streaming_impl(int shards) {
 
   std::vector<ShardProfile> profiles =
       execute_campaign(world_, config_, root, plan, shards, nullptr, &sinks,
-                       metrics_, series_, recorder_, slo_, attribution_);
+                       stores_);
 
   std::uint64_t events = 0;
   for (const ShardProfile& p : profiles) events += p.events;

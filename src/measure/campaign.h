@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "measure/dataset.h"
@@ -41,6 +42,17 @@
 #include "world/world_model.h"
 
 namespace dohperf::measure {
+
+/// The observability stores a run can record, one bit each in
+/// CampaignConfig::stores. obs::Metrics has no bit: its counters are the
+/// checked statistics, so it is always recorded.
+namespace store {
+inline constexpr unsigned kSeries = 1u << 0;       ///< obs::MetricSeries
+inline constexpr unsigned kAttribution = 1u << 1;  ///< obs::AttributionLedger
+inline constexpr unsigned kSlo = 1u << 2;          ///< obs::SloTracker
+inline constexpr unsigned kRecorder = 1u << 3;     ///< obs::FlightRecorder
+inline constexpr unsigned kAll = kSeries | kAttribution | kSlo | kRecorder;
+}  // namespace store
 
 /// Campaign knobs.
 struct CampaignConfig {
@@ -70,9 +82,12 @@ struct CampaignConfig {
   /// relative to each session's own start (the fault plans' time base),
   /// so the merged series is bit-identical for every thread count.
   netsim::Duration series_window = netsim::from_ms(250.0);
-  /// Anomaly flight-recorder policy. Enabled by default: every flow's
-  /// span tree is built and examined, and only anomalous trees are
-  /// retained (see obs/flight_recorder.h for the predicate).
+  /// Anomaly flight-recorder policy. When the recorder is among
+  /// `stores` and the policy is enabled (the default), every flow is
+  /// examined span-free (sim-time duration plus counter deltas), only
+  /// anomalous flows are retained, and the replay pass rebuilds just the
+  /// retained flows' span trees (see obs/flight_recorder.h for the
+  /// predicate).
   obs::AnomalyPolicy anomalies;
   /// Streaming-sink tuning (run_streaming() only).
   StreamSinkConfig stream;
@@ -83,8 +98,8 @@ struct CampaignConfig {
   /// RNG draw (zero spacing, the default, collapses the axis). The
   /// recurring fault schedules in `faults` are windowed on this axis too.
   netsim::Duration session_spacing{};
-  /// SLO objectives and burn-rate window geometry. Outcome recording is
-  /// always on (it is integer bookkeeping); `slo.enabled` gates alert
+  /// SLO objectives and burn-rate window geometry. Outcomes are recorded
+  /// when the SLO tracker is among `stores`; `slo.enabled` gates alert
   /// evaluation and report outputs.
   obs::SloConfig slo;
   /// Shared PoP cache model ([cache]). Disabled by default: no model is
@@ -97,6 +112,13 @@ struct CampaignConfig {
   /// land in per-query-index histograms and the *_warm series, never in
   /// the cold dataset rows (fig4/fig5 are untouched by construction).
   ReuseConfig reuse;
+  /// Which observability stores the run records (`store::` bits). A
+  /// store left out is never attached to a shard: it stays empty, costs
+  /// no memory, and — for the flight recorder — no flow is examined and
+  /// the replay pass does not run. No store feeds back into the
+  /// simulation, so the dataset and obs::Metrics are identical for every
+  /// value. scenario::run derives the set from the declared outputs.
+  unsigned stores = store::kAll;
 };
 
 /// Per-shard self-profiling of one run: how the wall-clock work and the
@@ -129,6 +151,15 @@ struct CampaignStats {
   std::vector<ShardProfile> shard_profiles;
 };
 
+/// The merged observability stores of one run (see Campaign's accessors).
+struct ObsStores {
+  obs::Metrics metrics;
+  obs::MetricSeries series;
+  obs::FlightRecorder anomalies;
+  obs::SloTracker slo;
+  obs::AttributionLedger attribution;
+};
+
 /// Runs the campaign over an assembled world.
 class Campaign {
  public:
@@ -159,33 +190,46 @@ class Campaign {
   /// record into private registries that are merged in canonical shard
   /// order; integer-only arithmetic makes the result bit-identical for
   /// every thread count (see DESIGN.md "Observability").
-  [[nodiscard]] const obs::Metrics& metrics() const { return metrics_; }
+  [[nodiscard]] const obs::Metrics& metrics() const {
+    return stores_.metrics;
+  }
 
   /// Sim-time metric series of the most recent run: per-window counters
   /// and latency histograms under provider x country labels, recorded by
   /// each shard into a private series and merged in canonical shard
-  /// order. Same bit-identity contract as metrics().
-  [[nodiscard]] const obs::MetricSeries& series() const { return series_; }
+  /// order. Same bit-identity contract as metrics(); empty unless
+  /// store::kSeries is in CampaignConfig::stores.
+  [[nodiscard]] const obs::MetricSeries& series() const {
+    return stores_.series;
+  }
 
   /// Anomaly flight recorder of the most recent run: merged, finalized,
   /// holding the canonical-latest retained anomalies and the examination
-  /// counts. Same bit-identity contract as metrics().
+  /// counts. Same bit-identity contract as metrics(); empty unless
+  /// store::kRecorder is in CampaignConfig::stores.
   [[nodiscard]] const obs::FlightRecorder& anomalies() const {
-    return recorder_;
+    return stores_.anomalies;
   }
 
   /// SLO outcome tracker of the most recent run: per-(provider, country)
   /// outcome counts in campaign-time windows, classified once at each
-  /// flow's exit path. Same bit-identity contract as metrics().
-  [[nodiscard]] const obs::SloTracker& slo() const { return slo_; }
+  /// flow's exit path. Same bit-identity contract as metrics(); empty
+  /// unless store::kSlo is in CampaignConfig::stores.
+  [[nodiscard]] const obs::SloTracker& slo() const { return stores_.slo; }
 
   /// Phase-exact latency attribution ledger of the most recent run:
   /// per-(provider, country, transport) integer microsecond sums and
   /// sketches whose phases partition each flow's end-to-end latency
-  /// exactly. Same bit-identity contract as metrics().
+  /// exactly. Same bit-identity contract as metrics(); empty unless
+  /// store::kAttribution is in CampaignConfig::stores.
   [[nodiscard]] const obs::AttributionLedger& attribution() const {
-    return attribution_;
+    return stores_.attribution;
   }
+
+  /// Moves the stores of the most recent run out of the campaign, so a
+  /// caller that keeps them never holds two copies; the accessors above
+  /// read moved-from stores afterwards.
+  [[nodiscard]] ObsStores release_stores() { return std::move(stores_); }
 
   /// DOHPERF_THREADS from the environment, falling back to
   /// std::thread::hardware_concurrency() (minimum 1).
@@ -199,11 +243,7 @@ class Campaign {
   world::WorldModel& world_;
   CampaignConfig config_;
   CampaignStats stats_;
-  obs::Metrics metrics_;
-  obs::MetricSeries series_;
-  obs::FlightRecorder recorder_;
-  obs::SloTracker slo_;
-  obs::AttributionLedger attribution_;
+  ObsStores stores_;
 };
 
 }  // namespace dohperf::measure

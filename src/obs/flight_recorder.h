@@ -1,4 +1,5 @@
-// Always-on anomaly flight recorder.
+// Anomaly flight recorder, kept when a run declares an anomalies output
+// (scenario::declared_stores).
 //
 // Every measurement flow is *examined* when it closes: the owner hands
 // the recorder the flow's sim-time duration plus before/after snapshots

@@ -32,7 +32,8 @@ namespace dohperf::obs {
 /// 14.4x burn (2% of a 30-day budget in an hour), ticket on the slow
 /// 6h/3d pair at 6x.
 struct SloConfig {
-  bool enabled = false;  ///< Gates alerts/outputs; recording is always on.
+  /// Gates alerts and outputs, and makes scenario runs record outcomes.
+  bool enabled = false;
   /// Base rollup window; burn windows are rounded up to multiples of it.
   netsim::Duration window = netsim::from_ms(60'000.0);
   double availability_objective = 0.999;

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "anycast/catalog.h"
@@ -29,6 +30,19 @@ void append_json_string(std::string& out, std::string_view s) {
   out += '"';
 }
 
+/// Appends `items` as a JSON array of strings.
+template <class Strings>
+void append_json_strings(std::string& out, const Strings& items) {
+  out += '[';
+  bool first = true;
+  for (const auto& item : items) {
+    if (!first) out += ", ";
+    first = false;
+    append_json_string(out, item);
+  }
+  out += ']';
+}
+
 void write_text(const std::string& path, const std::string& content) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
@@ -43,6 +57,22 @@ void write_text(const std::string& path, const std::string& content) {
   }
 }
 
+/// The names of `stores` plus "metrics", in the order summaries list
+/// them.
+std::vector<std::string_view> store_names(unsigned stores) {
+  constexpr std::pair<unsigned, std::string_view> kOptional[] = {
+      {measure::store::kSeries, "series"},
+      {measure::store::kAttribution, "attribution"},
+      {measure::store::kSlo, "slo"},
+      {measure::store::kRecorder, "flight_recorder"},
+  };
+  std::vector<std::string_view> names{"metrics"};
+  for (const auto& [bit, name] : kOptional) {
+    if ((stores & bit) != 0) names.push_back(name);
+  }
+  return names;
+}
+
 double median_of(std::vector<double> values) {
   return values.empty() ? 0.0 : stats::median_inplace(values);
 }
@@ -53,8 +83,11 @@ RunResult run(const CampaignSpec& spec, world::WorldModel& world) {
   RunResult result;
   result.spec = spec;
   result.hash = spec_hash(spec);
+  result.stores = declared_stores(spec);
 
-  measure::Campaign campaign(world, spec.campaign);
+  measure::CampaignConfig config = spec.campaign;
+  config.stores = result.stores;
+  measure::Campaign campaign(world, config);
   if (spec.sink == SinkMode::kRetained) {
     result.dataset = campaign.run();
     result.failed_measurements = result.dataset.failed_measurements;
@@ -69,11 +102,12 @@ RunResult run(const CampaignSpec& spec, world::WorldModel& world) {
     result.do53_median_ms = result.sink.do53_sketch().quantile(0.5);
   }
   result.stats = campaign.stats();
-  result.metrics = campaign.metrics();
-  result.series = campaign.series();
-  result.anomalies = campaign.anomalies();
-  result.slo = campaign.slo();
-  result.attribution = campaign.attribution();
+  measure::ObsStores stores = campaign.release_stores();
+  result.metrics = std::move(stores.metrics);
+  result.series = std::move(stores.series);
+  result.anomalies = std::move(stores.anomalies);
+  result.slo = std::move(stores.slo);
+  result.attribution = std::move(stores.attribution);
   if (spec.campaign.slo.enabled) {
     result.slo_alerts = result.slo.evaluate();
   }
@@ -206,14 +240,11 @@ std::string summary_json(const RunResult& result) {
     }
     out += "]},\n";
   }
-  out += "  \"outputs\": [";
-  bool first = true;
-  for (const std::string& path : result.written) {
-    if (!first) out += ", ";
-    first = false;
-    append_json_string(out, path);
-  }
-  out += "]\n}\n";
+  out += "  \"stores\": ";
+  append_json_strings(out, store_names(result.stores));
+  out += ",\n  \"outputs\": ";
+  append_json_strings(out, result.written);
+  out += "\n}\n";
   return out;
 }
 
@@ -226,6 +257,25 @@ std::string provenance_line(const RunResult& result) {
   line += to_string(result.spec.sink);
   line += "\n";
   return line;
+}
+
+unsigned declared_stores(const CampaignSpec& spec) {
+  const OutputsSpec& outputs = spec.outputs;
+  unsigned stores = 0;
+  if (!outputs.series_csv.empty() || !outputs.openmetrics.empty()) {
+    stores |= measure::store::kSeries;
+  }
+  if (!outputs.attribution_csv.empty() || !outputs.openmetrics.empty()) {
+    stores |= measure::store::kAttribution;
+  }
+  if (!outputs.anomalies_dir.empty()) stores |= measure::store::kRecorder;
+  // [slo] enabled also feeds the summary's budgets, the alert evaluation
+  // and the OpenMetrics SLO gauges.
+  if (spec.campaign.slo.enabled || !outputs.availability_csv.empty() ||
+      !outputs.slo_alerts_csv.empty()) {
+    stores |= measure::store::kSlo;
+  }
+  return stores;
 }
 
 void write_outputs(RunResult& result) {

@@ -25,6 +25,9 @@ namespace dohperf::scenario {
 struct RunResult {
   CampaignSpec spec;  ///< The spec as executed.
   std::string hash;   ///< spec_hash(spec).
+  /// The observability stores the run recorded (measure::store bits,
+  /// declared_stores(spec)); the others below are empty.
+  unsigned stores = 0;
 
   measure::CampaignStats stats;
   obs::Metrics metrics;
@@ -57,7 +60,8 @@ struct RunResult {
 
 /// Runs `spec` against a caller-owned world (which must have been built
 /// from `spec.world`; callers that sweep over campaign knobs reuse one
-/// world across runs). Does not write outputs — see write_outputs().
+/// world across runs). Records only the stores declared_stores(spec)
+/// names. Does not write outputs — see write_outputs().
 [[nodiscard]] RunResult run(const CampaignSpec& spec,
                             world::WorldModel& world);
 
@@ -82,6 +86,19 @@ struct RunResult {
 /// The one-line provenance stamp written at the top of every text
 /// output ("# dohperf-spec name=<name> hash=<hash> sink=<sink>\n").
 [[nodiscard]] std::string provenance_line(const RunResult& result);
+
+/// The observability stores a run of `spec` must record: those some
+/// declared output reads. obs::Metrics is always recorded and has no
+/// bit. The map follows the writers in write_outputs():
+///   series_csv                              -> series
+///   openmetrics                             -> series + attribution
+///   attribution_csv                         -> attribution
+///   anomalies_dir                           -> flight recorder
+///   availability_csv, slo_alerts_csv, or
+///   [slo] enabled = true                    -> SLO tracker
+/// No store feeds back into the simulation, so the dataset, the metrics
+/// and every declared output are the same as with every store on.
+[[nodiscard]] unsigned declared_stores(const CampaignSpec& spec);
 
 /// Writes every output declared in `result.spec.outputs` (parent
 /// directories created on demand), appending each produced path to

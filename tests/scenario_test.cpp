@@ -1,15 +1,26 @@
 // scenario::CampaignSpec — strict parsing, canonicalization, hashing,
-// env overrides, and sweep-grid expansion.
+// env overrides, sweep-grid expansion, and the declared-output store gate.
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "measure/campaign.h"
 #include "netsim/time.h"
+#include "obs/flight_recorder.h"
 #include "obs/slo.h"
+#include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "scenario/sweep.h"
+#include "world/world_model.h"
 
 namespace {
 
@@ -335,6 +346,235 @@ TEST(ScenarioSpecTest, FormatDoubleIsShortestRoundTrip) {
     const std::string text = scenario::format_double(v);
     EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
   }
+}
+
+// ---- Store gate: each store is recorded only when an output reads it --
+
+namespace store = measure::store;
+
+/// Every [outputs] key and its field.
+const std::vector<std::pair<std::string, std::string scenario::OutputsSpec::*>>&
+output_fields() {
+  static const std::vector<
+      std::pair<std::string, std::string scenario::OutputsSpec::*>>
+      fields = {
+          {"summary_json", &scenario::OutputsSpec::summary_json},
+          {"fig4_csv", &scenario::OutputsSpec::fig4_csv},
+          {"fig5_csv", &scenario::OutputsSpec::fig5_csv},
+          {"metrics_csv", &scenario::OutputsSpec::metrics_csv},
+          {"series_csv", &scenario::OutputsSpec::series_csv},
+          {"openmetrics", &scenario::OutputsSpec::openmetrics},
+          {"anomalies_dir", &scenario::OutputsSpec::anomalies_dir},
+          {"availability_csv", &scenario::OutputsSpec::availability_csv},
+          {"slo_alerts_csv", &scenario::OutputsSpec::slo_alerts_csv},
+          {"attribution_csv", &scenario::OutputsSpec::attribution_csv},
+      };
+  return fields;
+}
+
+TEST(ScenarioStoresTest, EachDeclaredOutputSelectsTheStoresItReads) {
+  const std::map<std::string, unsigned> expected = {
+      {"summary_json", 0},
+      {"fig4_csv", 0},
+      {"fig5_csv", 0},
+      {"metrics_csv", 0},
+      {"series_csv", store::kSeries},
+      {"openmetrics", store::kSeries | store::kAttribution},
+      {"anomalies_dir", store::kRecorder},
+      {"availability_csv", store::kSlo},
+      {"slo_alerts_csv", store::kSlo},
+      {"attribution_csv", store::kAttribution},
+  };
+  scenario::CampaignSpec none;
+  EXPECT_EQ(scenario::declared_stores(none), 0u);
+  scenario::CampaignSpec all;
+  for (const auto& [name, field] : output_fields()) {
+    scenario::CampaignSpec one;
+    one.outputs.*field = "out/" + name;
+    all.outputs.*field = "out/" + name;
+    EXPECT_EQ(scenario::declared_stores(one), expected.at(name)) << name;
+    // [slo] enabled adds the SLO tracker to whatever the outputs need.
+    one.campaign.slo.enabled = true;
+    EXPECT_EQ(scenario::declared_stores(one), expected.at(name) | store::kSlo)
+        << name;
+  }
+  EXPECT_EQ(scenario::declared_stores(all), store::kAll);
+  none.campaign.slo.enabled = true;
+  EXPECT_EQ(scenario::declared_stores(none), store::kSlo);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The summary minus the lines that differ by design between runs that
+/// declare different outputs: host wall time and RSS, and the "stores"
+/// and "outputs" arrays (which list what each run declared).
+std::string summary_without_declared_lines(const std::string& summary) {
+  std::istringstream in(summary);
+  std::string line;
+  std::string out;
+  for (const char* key : {"\"wall_seconds\"", "\"peak_rss_bytes\"",
+                          "\"stores\"", "\"outputs\""}) {
+    EXPECT_NE(summary.find(key), std::string::npos) << key;
+  }
+  while (std::getline(in, line)) {
+    if (line.find("\"wall_seconds\"") != std::string::npos ||
+        line.find("\"peak_rss_bytes\"") != std::string::npos ||
+        line.find("\"stores\"") != std::string::npos ||
+        line.find("\"outputs\"") != std::string::npos) {
+      continue;
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+/// The files one output produced, by name relative to the output (one
+/// entry for a file output, every file for anomalies_dir except
+/// spec.txt, which echoes the declared outputs).
+std::map<std::string, std::string> output_files(const std::string& key,
+                                                const std::string& path) {
+  std::map<std::string, std::string> files;
+  if (key == "anomalies_dir") {
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      const std::string name = entry.path().filename().string();
+      if (name != "spec.txt") files[name] = read_file(entry.path());
+    }
+  } else if (key == "summary_json") {
+    files[key] = summary_without_declared_lines(read_file(path));
+  } else {
+    files[key] = read_file(path);
+  }
+  return files;
+}
+
+bool recorded(const scenario::RunResult& r, unsigned bit) {
+  switch (bit) {
+    case store::kSeries:
+      return !r.series.empty();
+    case store::kAttribution:
+      return !r.attribution.empty();
+    case store::kSlo:
+      return !r.slo.empty();
+    default:
+      return r.anomalies.counts().flows > 0 || !r.anomalies.retained().empty();
+  }
+}
+
+// The oracle for the gate: declaring one output at a time writes that
+// output byte for byte as a run that declares every output, and a run
+// that declares nothing keeps none of the optional stores while its
+// checked statistics stay those of the all-declared run.
+TEST(ScenarioStoresTest, GatedRunsWriteTheSameOutputsAndStatistics) {
+  const scenario::SpecDocument doc = parse_ok(
+      "name = \"store-gate\"\n"
+      "[world]\n"
+      "seed = 11\n"
+      "client_scale = 0.05\n"
+      "[campaign]\n"
+      "runs_per_client = 1\n"
+      "atlas_measurements_per_country = 10\n"
+      "[faults]\n"
+      "loss_spike_probability = 0.25\n"
+      "brownout_probability = 0.1\n"
+      "[cache]\n"
+      "enabled = true\n"
+      "[reuse]\n"
+      "enabled = true\n"
+      "think_time_ms = 3000\n"
+      "idle_timeout_ms = 5000\n"
+      "[slo]\n"
+      "enabled = true\n");
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) /
+      ("dohperf-store-gate-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  world::WorldModel world(doc.base.world);
+
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto run_declaring = [&](const std::string& tag,
+                                   const std::vector<std::string>& keys) {
+      scenario::CampaignSpec spec = doc.base;
+      spec.campaign.threads = threads;
+      for (const auto& [name, field] : output_fields()) {
+        for (const std::string& key : keys) {
+          if (key == name) {
+            spec.outputs.*field =
+                (root / (std::to_string(threads) + "-" + tag) / name)
+                    .string();
+          }
+        }
+      }
+      scenario::RunResult result = scenario::run(spec, world);
+      scenario::write_outputs(result);
+      return result;
+    };
+
+    std::vector<std::string> every;
+    for (const auto& [name, field] : output_fields()) every.push_back(name);
+    const scenario::RunResult all = run_declaring("all", every);
+    EXPECT_EQ(all.stores, store::kAll);
+    for (const unsigned bit : {store::kSeries, store::kAttribution,
+                               store::kSlo, store::kRecorder}) {
+      EXPECT_TRUE(recorded(all, bit)) << bit;
+    }
+    EXPECT_NE(read_file(all.spec.outputs.summary_json)
+                  .find("\"stores\": [\"metrics\", \"series\", "
+                        "\"attribution\", \"slo\", \"flight_recorder\"],"),
+              std::string::npos);
+
+    for (const auto& [name, field] : output_fields()) {
+      SCOPED_TRACE(name);
+      const scenario::RunResult one = run_declaring(name, {name});
+      ASSERT_EQ(one.written.size(), 1u);
+      EXPECT_EQ(one.stores, scenario::declared_stores(one.spec));
+      for (const unsigned bit : {store::kSeries, store::kAttribution,
+                                 store::kSlo, store::kRecorder}) {
+        EXPECT_EQ(recorded(one, bit), (one.stores & bit) != 0) << bit;
+      }
+      const auto expected = output_files(name, all.spec.outputs.*field);
+      const auto actual = output_files(name, one.spec.outputs.*field);
+      EXPECT_FALSE(expected.empty());
+      ASSERT_EQ(actual.size(), expected.size());
+      for (const auto& [file, content] : expected) {
+        ASSERT_EQ(actual.count(file), 1u) << file;
+        EXPECT_TRUE(actual.at(file) == content) << file << " differs";
+      }
+      if (name == "summary_json") {
+        EXPECT_NE(read_file(one.spec.outputs.*field)
+                      .find("\"stores\": [\"metrics\", \"slo\"],"),
+                  std::string::npos);
+      }
+    }
+
+    // Nothing declared and [slo] off: no optional store is recorded.
+    scenario::CampaignSpec bare = doc.base;
+    bare.campaign.threads = threads;
+    bare.campaign.slo.enabled = false;
+    const scenario::RunResult none = scenario::run(bare, world);
+    EXPECT_EQ(none.stores, 0u);
+    EXPECT_TRUE(none.series.empty());
+    EXPECT_TRUE(none.attribution.empty());
+    EXPECT_TRUE(none.slo.empty());
+    EXPECT_TRUE(none.slo_alerts.empty());
+    EXPECT_EQ(none.anomalies.counts(), obs::AnomalyCounts{});
+    EXPECT_TRUE(none.anomalies.retained().empty());
+    EXPECT_TRUE(none.metrics.counters == all.metrics.counters);
+    EXPECT_TRUE(none.metrics == all.metrics);
+    EXPECT_EQ(scenario::fig4_csv(none.dataset).str(),
+              scenario::fig4_csv(all.dataset).str());
+    EXPECT_EQ(scenario::fig5_csv(none.dataset).str(),
+              scenario::fig5_csv(all.dataset).str());
+    EXPECT_EQ(none.doh1_median_ms, all.doh1_median_ms);
+    EXPECT_EQ(none.do53_median_ms, all.do53_median_ms);
+    EXPECT_EQ(none.retries, all.retries);
+    EXPECT_EQ(none.retry_timeouts, all.retry_timeouts);
+    EXPECT_EQ(none.failed_measurements, all.failed_measurements);
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -159,6 +159,23 @@ void check_summary(const Value& doc, const std::string& where) {
   if (doc.number_or("sessions", 0) <= 0) {
     fail(where + ": sessions must be > 0");
   }
+  // The observability stores the run recorded: a subset of the known
+  // ones, "metrics" always among them.
+  const Value* stores = doc.get("stores");
+  if (stores == nullptr || !stores->is_array()) {
+    fail(where + ": missing \"stores\" array");
+  } else {
+    bool has_metrics = false;
+    for (const Value& store : stores->as_array()) {
+      const std::string name = store.is_string() ? store.as_string() : "";
+      if (name != "metrics" && name != "series" && name != "attribution" &&
+          name != "slo" && name != "flight_recorder") {
+        fail(where + ".stores: unknown store \"" + name + "\"");
+      }
+      has_metrics = has_metrics || name == "metrics";
+    }
+    if (!has_metrics) fail(where + ".stores: \"metrics\" is missing");
+  }
   const Value* outputs = doc.get("outputs");
   if (outputs == nullptr || !outputs->is_array()) {
     fail(where + ": missing \"outputs\" array");
