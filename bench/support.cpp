@@ -176,7 +176,6 @@ Env::Env() {
   dataset_ = std::move(result.dataset);
   stats_ = std::move(result.stats);
   metrics_ = std::move(result.metrics);
-  series_ = std::move(result.series);
   anomalies_ = std::move(result.anomalies);
   stores_ = result.stores;
 

@@ -38,7 +38,6 @@
 #include "measure/regression.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/series.h"
 #include "report/table.h"
 #include "scenario/runner.h"
 #include "stats/summary.h"
@@ -71,9 +70,6 @@ class Env {
   /// Merged observability metrics of the campaign run (bit-identical for
   /// every DOHPERF_THREADS value).
   [[nodiscard]] const obs::Metrics& metrics() const { return metrics_; }
-  /// Merged sim-time metric series (bit-identical for every
-  /// DOHPERF_THREADS value).
-  [[nodiscard]] const obs::MetricSeries& series() const { return series_; }
   /// Anomaly flight recorder, finalized after the merge (bit-identical
   /// for every DOHPERF_THREADS value). Empty unless the run kept it.
   [[nodiscard]] const obs::FlightRecorder& anomalies() const {
@@ -90,7 +86,6 @@ class Env {
   measure::Dataset dataset_;
   measure::CampaignStats stats_;
   obs::Metrics metrics_;
-  obs::MetricSeries series_;
   obs::FlightRecorder anomalies_;
   unsigned stores_ = 0;
 };

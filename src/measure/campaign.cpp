@@ -4,7 +4,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <iterator>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -49,19 +52,32 @@ struct SessionOutput {
 };
 
 /// The campaign's immutable work description, built once on the main
-/// thread: the retained exits and Atlas countries (with their iso2 /
-/// provider names pre-interned in canonical order — providers in catalog
-/// order, then countries in world order), the canonical session-slot
-/// layout, and the client roster. Shards share it read-only; both sink
-/// modes consume the same plan, which is what keeps them bit-identical.
+/// thread: the config, the root of every session's RNG substream, the
+/// retained exits and Atlas countries (with their iso2 / provider names
+/// pre-interned in canonical order — providers in catalog order, then
+/// countries in world order), the canonical session-slot layout, and the
+/// client roster. Shards and the replay pass share it read-only; both
+/// sink modes consume the same plan, which is what keeps them
+/// bit-identical.
 struct CampaignPlan {
+  CampaignPlan(const CampaignConfig& c, netsim::Rng r) : config(c), root(r) {}
+
+  const CampaignConfig& config;
+  /// Session randomness descends from the world seed through stable keys
+  /// only; split() is a pure function of (seed, tag), so the root can be
+  /// derived regardless of how much the world RNG has already been used.
+  netsim::Rng root;
   std::vector<ExitTask> exits;
   std::vector<AtlasTask> atlas;
   std::vector<ClientInfo> clients;  ///< Parallel to `exits`.
+  std::size_t n_exit_sessions = 0;  ///< Slots before the Atlas sessions.
   std::size_t n_sessions = 0;
   std::uint64_t discarded_mismatch = 0;
   std::vector<std::string> provider_names;  ///< Canonical catalog order.
   std::vector<StrId> provider_ids;          ///< Parallel to the names.
+  /// Flight-recorder flow labels by exit-session flow index:
+  /// "doh:<provider>" in catalog order, then "do53".
+  std::vector<std::string> flow_labels;
   StringTable names;
   /// Stateless shared-cache model ([cache] enabled; nullptr otherwise).
   /// Built once on the main thread and shared read-only by every shard —
@@ -76,24 +92,14 @@ struct ShardView {
   world::WorldModel& world;
   netsim::Simulator& sim;
   world::SimContext* replica = nullptr;  ///< nullptr = world's own stack.
-  /// Shard-private metrics registry; sessions record into it without
-  /// synchronisation and the campaign merges the registries in canonical
-  /// shard order after the join. The stores below follow the same
-  /// ownership and merge story, and are nullptr when the run does not
-  /// record them (CampaignConfig::stores).
+  /// The shard's own stores, recorded without synchronisation and merged
+  /// in canonical shard order after the join; nullptr when the run does
+  /// not record a store (CampaignConfig::stores). The replay pass
+  /// attaches only its capturing recorder, so replays never double-record.
   obs::Metrics* metrics = nullptr;
-  /// Shard-private sim-time series.
   obs::MetricSeries* series = nullptr;
-  /// Shard-private anomaly flight recorder (canonical-order retention
-  /// makes the merge layout-proof).
   obs::FlightRecorder* recorder = nullptr;
-  /// Shard-private SLO outcome tracker (integer counts keyed by
-  /// (provider, country, window)). nullptr on the anomaly replay pass so
-  /// replays never double-record outcomes.
   obs::SloTracker* slo = nullptr;
-  /// Shard-private attribution ledger (integer microsecond sums and
-  /// log-bucket sketches keyed by (provider, country, transport)).
-  /// nullptr on the replay pass.
   obs::AttributionLedger* attribution = nullptr;
 
   resolver::DohServer& doh(std::size_t p, std::size_t i) {
@@ -119,23 +125,20 @@ struct ExitState {
   std::vector<double> nearest_located_miles;
 };
 
-/// Merges a session's private metrics into the shard registry when the
-/// session's coroutine frame dies. Sessions keep flow-local counters so
-/// the flight recorder's before/after snapshots cannot see concurrent
-/// sessions' increments; integer merges are commutative, so the frame
-/// destruction order cannot change the shard totals.
-struct MergeMetricsOnExit {
-  obs::Metrics* target = nullptr;
-  const obs::Metrics* source = nullptr;
+/// DOHPERF_THREADS from the environment, falling back to
+/// std::thread::hardware_concurrency() (minimum 1).
+int threads_from_env() {
+  const char* value = std::getenv("DOHPERF_THREADS");
+  const int n = value != nullptr ? std::atoi(value) : 0;
+  if (n > 0) return n;
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
 
-  MergeMetricsOnExit(obs::Metrics* t, const obs::Metrics* s)
-      : target(t), source(s) {}
-  MergeMetricsOnExit(const MergeMetricsOnExit&) = delete;
-  MergeMetricsOnExit& operator=(const MergeMetricsOnExit&) = delete;
-  ~MergeMetricsOnExit() {
-    if (target != nullptr) target->merge(*source);
-  }
-};
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 /// Records each realized fault episode's window as series occupancy
 /// counters ("how many sessions had a blackout open in this window") —
@@ -152,24 +155,17 @@ constexpr netsim::Duration kFaultRecordHorizon = netsim::from_ms(30000.0);
 void record_fault_windows(obs::MetricSeries* series,
                           const netsim::FaultPlan& plan) {
   if (series == nullptr || plan.empty()) return;
-  const auto clamp = [](netsim::Duration end) {
-    return end < kFaultRecordHorizon ? end : kFaultRecordHorizon;
+  const auto occupy = [series](const char* metric, const auto& ep,
+                                std::string provider = {}) {
+    series->add_count_range({metric, std::move(provider), {}},
+                            ep.window.start,
+                            std::min(ep.window.end, kFaultRecordHorizon));
   };
-  for (const netsim::LossSpikeEpisode& ep : plan.loss_spikes()) {
-    series->add_count_range({"fault_loss_spike", {}, {}}, ep.window.start,
-                            clamp(ep.window.end));
-  }
-  for (const netsim::BlackoutEpisode& ep : plan.blackouts()) {
-    series->add_count_range({"fault_blackout", {}, {}}, ep.window.start,
-                            clamp(ep.window.end));
-  }
-  for (const netsim::BrownoutEpisode& ep : plan.brownouts()) {
-    series->add_count_range({"fault_brownout", {}, {}}, ep.window.start,
-                            clamp(ep.window.end));
-  }
-  for (const netsim::ProviderOutageEpisode& ep : plan.provider_outages()) {
-    series->add_count_range({"fault_provider_outage", ep.provider, {}},
-                            ep.window.start, clamp(ep.window.end));
+  for (const auto& ep : plan.loss_spikes()) occupy("fault_loss_spike", ep);
+  for (const auto& ep : plan.blackouts()) occupy("fault_blackout", ep);
+  for (const auto& ep : plan.brownouts()) occupy("fault_brownout", ep);
+  for (const auto& ep : plan.provider_outages()) {
+    occupy("fault_provider_outage", ep, ep.provider);
   }
 }
 
@@ -211,31 +207,20 @@ obs::FlowSignals window_signals(const netsim::FaultPlan* plan,
   return signals;
 }
 
-/// Stable per-session RNG keys. Sessions are keyed by what they measure
-/// (exit id + run, or Atlas country + index) — never by shard index or
-/// scheduling order — which is what makes the dataset independent of the
-/// thread count.
-std::string exit_session_key(std::uint64_t exit_id, int run) {
-  return "shard-exit-" + std::to_string(exit_id) + "-run-" +
-         std::to_string(run);
-}
-
-std::string atlas_session_key(const std::string& iso2, int index) {
-  return "shard-atlas-" + iso2 + "-" + std::to_string(index);
-}
-
 /// Enumerates the retained clients (Maxmind cross-check first) and the
 /// Atlas remedy countries in the canonical order, interning every name
 /// the records will carry. Runs once, on the main thread, before any
 /// shard starts — the interner is never touched concurrently.
 CampaignPlan build_plan(world::WorldModel& world,
                         const CampaignConfig& config) {
-  CampaignPlan plan;
+  CampaignPlan plan(config, world.rng().split("campaign-sessions"));
 
   for (const anycast::Provider& provider : world.providers()) {
     plan.provider_names.push_back(provider.name());
     plan.provider_ids.push_back(plan.names.intern(provider.name()));
+    plan.flow_labels.push_back("doh:" + provider.name());
   }
+  plan.flow_labels.emplace_back("do53");
 
   for (const std::string& iso2 : world.countries()) {
     for (const std::uint64_t id : world.brightdata().exits_in(iso2)) {
@@ -266,8 +251,9 @@ CampaignPlan build_plan(world::WorldModel& world,
 
   // Canonical session slots: run-major exit sessions, then Atlas
   // sessions in Super Proxy country order.
-  plan.n_sessions =
+  plan.n_exit_sessions =
       static_cast<std::size_t>(config.runs_per_client) * plan.exits.size();
+  plan.n_sessions = plan.n_exit_sessions;
   for (const std::string_view iso2_sv : proxy::kSuperProxyCountries) {
     const std::string iso2(iso2_sv);
     if (!world.atlas().has_probes_in(iso2)) continue;
@@ -287,9 +273,9 @@ CampaignPlan build_plan(world::WorldModel& world,
   return plan;
 }
 
-ExitState make_exit_state(ShardView& view, const ExitTask& task,
-                          const netsim::Rng& root,
-                          double provider_failure_rate) {
+ExitState make_exit_state(ShardView& view, const CampaignPlan& plan,
+                          std::size_t e) {
+  const ExitTask& task = plan.exits[e];
   ExitState st;
   st.task = &task;
   st.local_exit = *task.exit;
@@ -304,10 +290,10 @@ ExitState make_exit_state(ShardView& view, const ExitTask& task,
     // which is what makes Table 3's per-provider client counts fall
     // short of the Do53 total.
     netsim::Rng failure_rng =
-        root.split("provider-fail-" + provider.name() + "-" +
-                   std::to_string(task.exit->id));
+        plan.root.split("provider-fail-" + provider.name() + "-" +
+                        std::to_string(task.exit->id));
     st.provider_failed.push_back(
-        failure_rng.bernoulli(provider_failure_rate));
+        failure_rng.bernoulli(plan.config.provider_failure_rate));
 
     // Hoisted per-(exit, provider) nearest-PoP scan: the distance to the
     // closest PoP *as geolocation sees it* (Figure 6's baseline) only
@@ -324,256 +310,303 @@ ExitState make_exit_state(ShardView& view, const ExitTask& task,
   return st;
 }
 
-/// One client session: 4 DoH measurements + 1 Do53 measurement.
-// `session_key` is taken by value: the caller's string may die while
-// this coroutine is suspended in the batch queue.
-netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
-                                   int run, std::uint64_t slot,
-                                   std::string session_key,
-                                   netsim::Rng session_rng,
-                                   const CampaignConfig& config,
-                                   const CampaignPlan& plan,
-                                   SessionOutput& out) {
-  netsim::NetCtx net{view.sim, view.world.latency(), session_rng};
-  const ExitTask& task = *st.task;
-  const proxy::ExitNode& exit = st.local_exit;
+/// One flow's bracket: the session's counters and clock before it, and
+/// whether the replay pass wants its span tree.
+struct FlowMark {
+  std::uint32_t index = 0;
+  obs::MetricCounters before;
+  netsim::SimTime start{};
+  bool capture = false;
+};
 
-  // Session-private metrics: the flight recorder diffs counters across a
-  // single flow, and concurrent sessions batched on this shard's
-  // simulator must not bleed into the diff.
-  obs::Metrics session_metrics;
-  const MergeMetricsOnExit merge_guard{view.metrics, &session_metrics};
-  net.metrics = &session_metrics;
+/// The scaffold every session runs its flows in, shared by exit and Atlas
+/// sessions: the RNG substream and NetCtx, session-private metrics merged
+/// into the shard's on destruction, the epoch, the series and
+/// attribution labels, the slot's place on the campaign-time axis, the
+/// fault plan, and the flow bracket and outcome bookkeeping. It lives in
+/// the session coroutine's frame; nothing here suspends.
+///
+/// `key` seeds the session's RNG substream. Sessions are keyed by what
+/// they measure ("shard-exit-<id>-run-<n>" / "shard-atlas-<iso2>-<i>") —
+/// never by shard index or scheduling order — which is what makes the
+/// dataset independent of the thread count.
+struct Session {
+  Session(ShardView& v, const CampaignPlan& p, std::uint64_t s,
+          std::string k, const std::string& country, SessionOutput& o)
+      : view(v),
+        plan(p),
+        out(o),
+        slot(s),
+        key(std::move(k)),
+        rng(p.root.split(key)),
+        net{v.sim, v.world.latency(), rng},
+        epoch(v.sim.now()),
+        // Virtual campaign time: a pure function of the slot, so SLO
+        // windows and recurring fault schedules are shard-invariant by
+        // construction.
+        campaign_base(p.config.session_spacing *
+                      static_cast<std::int64_t>(s)) {
+    net.metrics = &metrics;
+    net.series = {view.series, epoch, std::string(), country};
+    // Flows install their own FlowAttribution; with no ledger the
+    // recorder is inert.
+    net.attribution.ledger = view.attribution;
+    net.attribution.country = country;
+  }
+  /// Sessions keep flow-local counters so the flight recorder's
+  /// before/after snapshots cannot see concurrent sessions' increments;
+  /// integer merges are commutative, so the frame destruction order
+  /// cannot change the shard totals.
+  ~Session() {
+    if (view.metrics != nullptr) view.metrics->merge(metrics);
+  }
+  Session(const Session&) = delete;
 
-  const netsim::SimTime session_epoch = view.sim.now();
-  net.series = {view.series, session_epoch, std::string(),
-                exit.advertised_iso2};
-  // Attribution labels follow the series labels: country fixed for the
-  // session, provider re-pointed before each flow. Flows install their
-  // own FlowAttribution; with no ledger the recorder is inert.
-  net.attribution.ledger = view.attribution;
-  net.attribution.country = exit.advertised_iso2;
+  /// Points the series and attribution labels at the next flow's
+  /// provider ("Do53" for the Do53 flows).
+  void label(std::string_view provider) {
+    net.series.provider = provider;
+    net.attribution.provider = provider;
+  }
 
-  // Virtual campaign time: this session's slot on the multi-day axis.
-  // A pure function of the slot, so SLO windows and recurring fault
-  // schedules are shard-invariant by construction.
-  const netsim::Duration campaign_base =
-      config.session_spacing * static_cast<std::int64_t>(slot);
-  const auto record_outcome = [&](std::string_view provider,
-                                  obs::Outcome outcome, double latency_ms,
-                                  bool has_latency) {
-    if (view.slo == nullptr) return;
-    view.slo->record(provider, exit.advertised_iso2,
-                     campaign_base + (view.sim.now() - session_epoch),
-                     outcome, latency_ms, has_latency);
-  };
-
-  // Flight-recorder wiring. Examination is span-free (sim-time duration
-  // + counter deltas); spans are only recorded during the replay pass,
-  // and only for the flows the recorder asks for. The scratch tree must
-  // be session-owned: sessions interleave on the shard simulator.
-  obs::SpanContext flow_spans;
-  const bool examine = view.recorder != nullptr &&
-                       view.recorder->enabled() &&
-                       !view.recorder->capturing();
-  const bool capturing =
-      view.recorder != nullptr && view.recorder->capturing();
-
-  // Fault episodes are drawn from a private substream (split() is pure,
-  // so the session's main draw sequence is untouched) and anchored to
-  // the session's own start time: absolute sim time depends on how many
-  // sessions this shard ran before, but the epoch-relative clock does
-  // not, which keeps the dataset bit-identical across thread counts.
-  netsim::FaultPlan fault_plan;
-  if (config.faults.enabled()) {
-    const geo::LatLon focal[] = {exit.site.position, task.sp_site.position};
-    fault_plan = netsim::FaultPlan::sample(config.faults, focal,
-                                           plan.provider_names,
-                                           session_rng.split("fault-plan"));
-    if (config.faults.recurring_enabled()) {
-      // Campaign-time recurring schedules, translated into this session's
-      // epoch. No RNG: the realized windows are a pure function of
-      // (config, slot, country), so they merge bit-identically.
+  /// Samples this session's fault episodes from a private substream
+  /// (split() is pure, so the session's main draw sequence is untouched)
+  /// anchored to the session's own start: absolute sim time depends on
+  /// how many sessions this shard ran before, but the epoch-relative
+  /// clock does not. The recurring campaign-time schedules translate
+  /// into the same epoch with no RNG, a pure function of (config, slot,
+  /// country).
+  void arm_faults(std::span<const geo::LatLon> focal,
+                  std::span<const std::string> providers,
+                  const geo::LatLon& region) {
+    const netsim::FaultPlanConfig& faults = plan.config.faults;
+    if (!faults.enabled()) return;
+    fault_plan = netsim::FaultPlan::sample(faults, focal, providers,
+                                           rng.split("fault-plan"));
+    if (faults.recurring_enabled()) {
       fault_plan.append_recurring_episodes(
-          config.faults, campaign_base, kFaultRecordHorizon,
-          plan.provider_names, exit.site.position,
+          faults, campaign_base, kFaultRecordHorizon, providers, region,
           netsim::Duration{static_cast<std::int64_t>(
-              fnv1a64(exit.advertised_iso2) >> 1)});
+              fnv1a64(net.series.country) >> 1)});
     }
     net.faults = &fault_plan;
-    net.fault_epoch = session_epoch;
+    net.fault_epoch = epoch;
     record_fault_windows(view.series, fault_plan);
   }
 
-  // --- DoH: one measurement per studied provider ---------------------
-  for (std::size_t p = 0; p < view.world.providers().size(); ++p) {
-    anycast::Provider& provider = view.world.providers()[p];
-    net.series.provider = provider.name();
-    net.attribution.provider = provider.name();
-    const bool provider_out =
-        net.faults != nullptr &&
-        net.faults->provider_down(provider.name(), net.fault_now());
-    if (st.provider_failed[p] || provider_out) {
-      ++out.failed;
-      if (net.metrics != nullptr) ++net.metrics->counters.failures;
-      net.series.count("failure", view.sim.now());
-      record_outcome(provider.name(),
-                     obs::classify_flow_outcome(
-                         {.provider_unreachable = st.provider_failed[p],
-                          .provider_outage = provider_out}),
-                     0.0, false);
-      continue;
-    }
-
-    const std::size_t pop_index = provider.route(
-        exit.site.position, task.true_country->region, net.rng);
-
-    DohProxyParams params;
-    params.client = view.world.measurement_client();
-    params.super_proxy = task.sp_site;
-    params.exit = &exit;
-    params.doh = &view.doh(p, pop_index);
-    params.doh_hostname = provider.config().doh_hostname;
-    params.tls = view.world.config().tls_version;
-    params.origin = view.world.origin();
-
-    const obs::MetricCounters before = session_metrics.counters;
-    const netsim::SimTime flow_start = view.sim.now();
-    const bool capture_this =
-        capturing &&
-        view.recorder->wants_spans(slot, static_cast<std::uint32_t>(p));
-    if (capture_this) {
+  /// Opens flow `index`. Examination is span-free (sim-time duration +
+  /// counter deltas); spans are recorded only on the replay pass, and
+  /// only for the flows the recorder asks for. The scratch tree is
+  /// session-owned: sessions interleave on the shard simulator.
+  FlowMark begin_flow(std::uint32_t index) {
+    const bool capture =
+        view.recorder != nullptr && view.recorder->wants_spans(slot, index);
+    if (capture) {
       flow_spans.clear();
       net.spans = &flow_spans;
     }
-    const DohProxyObservation obs =
-        co_await doh_via_proxy(net, std::move(params));
-    if (capture_this) {
+    return {index, metrics.counters, view.sim.now(), capture};
+  }
+
+  /// Closes a flow: hands its span tree to a capturing recorder, or lets
+  /// the recorder examine it (a no-op when the recorder is disabled).
+  void end_flow(const FlowMark& flow, const std::string& flow_label) {
+    if (flow.capture) {
       net.spans = nullptr;
-      view.recorder->capture_flow(slot, static_cast<std::uint32_t>(p),
-                                  flow_spans, session_epoch);
-    } else if (examine) {
+      view.recorder->capture_flow(slot, flow.index, flow_spans, epoch);
+    } else if (view.recorder != nullptr) {
       view.recorder->examine_flow(
-          slot, static_cast<std::uint32_t>(p), session_key,
-          "doh:" + provider.name(),
-          netsim::ms_between(flow_start, view.sim.now()), before,
-          session_metrics.counters);
+          slot, flow.index, key, flow_label,
+          netsim::ms_between(flow.start, view.sim.now()), flow.before,
+          metrics.counters);
     }
-    if (!obs.ok) {
-      ++out.failed;
-      if (net.metrics != nullptr) ++net.metrics->counters.failures;
-      net.series.count("failure", view.sim.now());
-      record_outcome(provider.name(),
-                     obs::classify_flow_outcome(window_signals(
-                         net.faults, provider.name(),
-                         flow_start - session_epoch,
-                         view.sim.now() - session_epoch)),
-                     0.0, false);
-      continue;
-    }
-
-    DohRecord rec;
-    rec.exit_id = exit.id;
-    rec.iso2 = task.iso2_id;
-    rec.provider = plan.provider_ids[p];
-    rec.run = run;
-    rec.pop_index = static_cast<std::uint32_t>(pop_index);
-    rec.pop_distance_miles = geo::distance_miles(
-        task.located, provider.pops()[pop_index].position);
-    // "Potential improvement": distance to the PoP actually used minus
-    // distance to the closest PoP *as geolocation sees it* (Figure 6).
-    rec.potential_improvement_miles =
-        rec.pop_distance_miles - st.nearest_located_miles[p];
-    rec.tdoh_ms = estimate_tdoh_ms(obs.inputs);
-    rec.tdohr_ms = estimate_tdohr_ms(obs.inputs);
-    if (net.metrics != nullptr) {
-      net.metrics->histogram(provider.name()).record(rec.tdoh_ms);
-    }
-    net.series.latency("doh_ms", view.sim.now(), rec.tdoh_ms);
-    record_outcome(
-        provider.name(),
-        obs::classify_flow_outcome(
-            {.ok = true,
-             .brownout_delays = session_metrics.counters.brownout_delays -
-                                before.brownout_delays}),
-        rec.tdoh_ms, true);
-    out.doh.push_back(rec);
   }
 
-  // --- Warm path: steady-state pricing under [cache]/[reuse] ----------
-  // Disabled configs skip the whole block without touching net.rng, so
-  // the cold measurements above and the Do53 flow below see exactly the
-  // draw sequence they always did and datasets stay byte-identical.
-  if (config.cache.enabled || config.reuse.enabled) {
-    const resolver::SharedCacheModel* model = plan.cache_model.get();
-    const auto record_warm = [&](const WarmPathObservation& wobs,
-                                 const char* prefix) {
-      for (const WarmQueryObservation& q : wobs.queries) {
-        if (!q.valid()) continue;
-        // Per-query-index latency histograms; the tail shares one bucket
-        // so the histogram count stays bounded for long sessions.
-        const int index_bucket = std::min(q.query_index, 7);
-        if (net.metrics != nullptr) {
-          net.metrics->histogram(std::string(prefix) + "_warm_q" +
-                                 std::to_string(index_bucket))
-              .record(q.ms);
-        }
-        net.series.latency(std::string(prefix) + "_warm_ms",
-                           view.sim.now(), q.ms);
-      }
-      if (net.metrics != nullptr) {
-        net.metrics->counters.pool_cold += wobs.pool.cold;
-        net.metrics->counters.pool_reuses += wobs.pool.reused;
-        net.metrics->counters.pool_resumptions += wobs.pool.resumed;
-        net.metrics->counters.pool_evictions += wobs.pool.evictions;
-        if (!wobs.ok) ++net.metrics->counters.failures;
-      }
-      if (!wobs.ok) net.series.count("failure", view.sim.now());
-    };
-
-    for (std::size_t p = 0; p < view.world.providers().size(); ++p) {
-      anycast::Provider& provider = view.world.providers()[p];
-      if (st.provider_failed[p]) continue;
-      net.series.provider = provider.name();
-      net.attribution.provider = provider.name();
-      const std::size_t pop_index = provider.route(
-          exit.site.position, task.true_country->region, net.rng);
-      WarmDohParams wp;
-      wp.vantage = exit.site;
-      wp.default_resolver = exit.default_resolver;
-      wp.doh = &view.doh(p, pop_index);
-      wp.doh_hostname = provider.config().doh_hostname;
-      wp.tls = view.world.config().tls_version;
-      wp.origin = view.world.origin();
-      wp.cache = model;
-      // Centralized deployment: the provider PoP aggregates the whole
-      // configured population behind one cache.
-      wp.population = config.cache.population;
-      wp.reuse = config.reuse;
-      record_warm(co_await doh_warm_path(net, std::move(wp)), "doh");
-    }
-
-    // Do53 counterpart: same think-time/query schedule, but UDP (no
-    // pool) and a *distributed* cache — only this ISP's share of the
-    // population warms the default resolver.
-    net.series.provider = "Do53";
-    net.attribution.provider = "Do53";
-    WarmDo53Params dp;
-    dp.vantage = exit.site;
-    dp.resolver = exit.default_resolver;
-    dp.origin = view.world.origin();
-    dp.cache = model;
-    dp.population = config.cache.population * config.cache.isp_share;
-    dp.reuse = config.reuse;
-    record_warm(co_await do53_warm_path(net, std::move(dp)), "do53");
+  /// A measurement that produced no result: counted as failed and
+  /// classified for the SLO tracker from `signals`.
+  void fail(std::string_view provider, const obs::FlowSignals& signals) {
+    ++out.failed;
+    ++metrics.counters.failures;
+    net.series.count("failure", view.sim.now());
+    record_outcome(provider, signals);
   }
 
-  // --- Do53 via the default resolver ----------------------------------
-  net.series.provider = "Do53";
-  net.attribution.provider = "Do53";
-  Do53ProxyParams params;
+  /// Settles a finished flow's outcome: a failure is classified by the
+  /// fault windows it overlapped, a success by its brownout delays.
+  void settle(std::string_view provider, const FlowMark& flow, bool ok,
+              double latency_ms = 0.0, bool has_latency = false) {
+    if (!ok) {
+      return fail(provider, window_signals(net.faults, provider,
+                                           flow.start - epoch,
+                                           view.sim.now() - epoch));
+    }
+    record_outcome(provider,
+                   {.ok = true,
+                    .brownout_delays = metrics.counters.brownout_delays -
+                                       flow.before.brownout_delays},
+                   latency_ms, has_latency);
+  }
+
+  /// Classifies a flow for the SLO tracker, at the slot's campaign time.
+  void record_outcome(std::string_view provider,
+                      const obs::FlowSignals& signals,
+                      double latency_ms = 0.0, bool has_latency = false) {
+    if (view.slo == nullptr) return;
+    view.slo->record(provider, net.series.country,
+                     campaign_base + (view.sim.now() - epoch),
+                     obs::classify_flow_outcome(signals), latency_ms,
+                     has_latency);
+  }
+
+  ShardView& view;
+  const CampaignPlan& plan;
+  SessionOutput& out;
+  std::uint64_t slot;
+  std::string key;
+  netsim::Rng rng;
+  obs::Metrics metrics;
+  netsim::NetCtx net;
+  netsim::SimTime epoch;
+  netsim::Duration campaign_base;
+  netsim::FaultPlan fault_plan;
+  obs::SpanContext flow_spans;
+};
+
+/// One DoH measurement through the proxy against provider `p`.
+netsim::Task<void> doh_step(Session& s, const ExitState& st, int run,
+                            std::size_t p) {
+  ShardView& view = s.view;
+  const ExitTask& task = *st.task;
+  const proxy::ExitNode& exit = st.local_exit;
+  anycast::Provider& provider = view.world.providers()[p];
+  s.label(provider.name());
+  const bool provider_out =
+      s.net.faults != nullptr &&
+      s.net.faults->provider_down(provider.name(), s.net.fault_now());
+  if (st.provider_failed[p] || provider_out) {
+    s.fail(provider.name(), {.provider_unreachable = st.provider_failed[p],
+                             .provider_outage = provider_out});
+    co_return;
+  }
+
+  const std::size_t pop_index = provider.route(
+      exit.site.position, task.true_country->region, s.net.rng);
+
+  DohProxyParams params;
   params.client = view.world.measurement_client();
   params.super_proxy = task.sp_site;
+  params.exit = &exit;
+  params.doh = &view.doh(p, pop_index);
+  params.doh_hostname = provider.config().doh_hostname;
+  params.tls = view.world.config().tls_version;
+  params.origin = view.world.origin();
+
+  const FlowMark flow = s.begin_flow(static_cast<std::uint32_t>(p));
+  const DohProxyObservation obs =
+      co_await doh_via_proxy(s.net, std::move(params));
+  s.end_flow(flow, s.plan.flow_labels[p]);
+  if (!obs.ok) {
+    s.settle(provider.name(), flow, false);
+    co_return;
+  }
+
+  DohRecord rec;
+  rec.exit_id = exit.id;
+  rec.iso2 = task.iso2_id;
+  rec.provider = s.plan.provider_ids[p];
+  rec.run = run;
+  rec.pop_index = static_cast<std::uint32_t>(pop_index);
+  rec.pop_distance_miles = geo::distance_miles(
+      task.located, provider.pops()[pop_index].position);
+  // "Potential improvement": distance to the PoP actually used minus
+  // distance to the closest PoP *as geolocation sees it* (Figure 6).
+  rec.potential_improvement_miles =
+      rec.pop_distance_miles - st.nearest_located_miles[p];
+  rec.tdoh_ms = estimate_tdoh_ms(obs.inputs);
+  rec.tdohr_ms = estimate_tdohr_ms(obs.inputs);
+  s.metrics.histogram(provider.name()).record(rec.tdoh_ms);
+  s.net.series.latency("doh_ms", view.sim.now(), rec.tdoh_ms);
+  s.settle(provider.name(), flow, true, rec.tdoh_ms, true);
+  s.out.doh.push_back(rec);
+}
+
+/// Folds one warm session's per-query latencies and pool counters into
+/// the session's metrics and series.
+void record_warm(Session& s, const WarmPathObservation& wobs,
+                 const char* prefix) {
+  for (const WarmQueryObservation& q : wobs.queries) {
+    if (!q.valid()) continue;
+    // Per-query-index latency histograms; the tail shares one bucket so
+    // the histogram count stays bounded for long sessions.
+    const int index_bucket = std::min(q.query_index, 7);
+    s.metrics
+        .histogram(std::string(prefix) + "_warm_q" +
+                   std::to_string(index_bucket))
+        .record(q.ms);
+    s.net.series.latency(std::string(prefix) + "_warm_ms",
+                         s.view.sim.now(), q.ms);
+  }
+  obs::MetricCounters& c = s.metrics.counters;
+  c.pool_cold += wobs.pool.cold;
+  c.pool_reuses += wobs.pool.reused;
+  c.pool_resumptions += wobs.pool.resumed;
+  c.pool_evictions += wobs.pool.evictions;
+  if (!wobs.ok) {
+    ++c.failures;
+    s.net.series.count("failure", s.view.sim.now());
+  }
+}
+
+/// The warm block: steady-state pricing under [cache]/[reuse], one warm
+/// DoH session per surviving provider and one warm Do53 session.
+netsim::Task<void> warm_step(Session& s, const ExitState& st) {
+  ShardView& view = s.view;
+  const CampaignConfig& config = s.plan.config;
+  const proxy::ExitNode& exit = st.local_exit;
+  for (std::size_t p = 0; p < view.world.providers().size(); ++p) {
+    anycast::Provider& provider = view.world.providers()[p];
+    if (st.provider_failed[p]) continue;
+    s.label(provider.name());
+    const std::size_t pop_index = provider.route(
+        exit.site.position, st.task->true_country->region, s.net.rng);
+    WarmDohParams wp;
+    wp.vantage = exit.site;
+    wp.default_resolver = exit.default_resolver;
+    wp.doh = &view.doh(p, pop_index);
+    wp.doh_hostname = provider.config().doh_hostname;
+    wp.tls = view.world.config().tls_version;
+    wp.origin = view.world.origin();
+    wp.cache = s.plan.cache_model.get();
+    // Centralized deployment: the provider PoP aggregates the whole
+    // configured population behind one cache.
+    wp.population = config.cache.population;
+    wp.reuse = config.reuse;
+    record_warm(s, co_await doh_warm_path(s.net, std::move(wp)), "doh");
+  }
+
+  // Do53 counterpart: same think-time/query schedule, but UDP (no pool)
+  // and a *distributed* cache — only this ISP's share of the population
+  // warms the default resolver.
+  s.label("Do53");
+  WarmDo53Params dp;
+  dp.vantage = exit.site;
+  dp.resolver = exit.default_resolver;
+  dp.origin = view.world.origin();
+  dp.cache = s.plan.cache_model.get();
+  dp.population = config.cache.population * config.cache.isp_share;
+  dp.reuse = config.reuse;
+  record_warm(s, co_await do53_warm_path(s.net, std::move(dp)), "do53");
+}
+
+/// One Do53 measurement through the proxy via the exit's default
+/// resolver.
+netsim::Task<void> do53_step(Session& s, const ExitState& st, int run) {
+  ShardView& view = s.view;
+  const proxy::ExitNode& exit = st.local_exit;
+  s.label("Do53");
+  Do53ProxyParams params;
+  params.client = view.world.measurement_client();
+  params.super_proxy = st.task->sp_site;
   params.exit = &exit;
   params.web_server = view.authority().site();  // co-hosted with a.com NS
   params.origin = view.world.origin();
@@ -581,167 +614,102 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       proxy::resolves_dns_at_super_proxy(exit.advertised_iso2);
   params.authority = &view.authority();
 
-  const obs::MetricCounters before = session_metrics.counters;
-  const netsim::SimTime flow_start = view.sim.now();
-  const auto do53_index =
-      static_cast<std::uint32_t>(view.world.providers().size());
-  const bool capture_this =
-      capturing && view.recorder->wants_spans(slot, do53_index);
-  if (capture_this) {
-    flow_spans.clear();
-    net.spans = &flow_spans;
-  }
+  const auto index = static_cast<std::uint32_t>(s.plan.provider_ids.size());
+  const FlowMark flow = s.begin_flow(index);
   const Do53ProxyObservation obs =
-      co_await do53_via_proxy(net, std::move(params));
-  if (capture_this) {
-    net.spans = nullptr;
-    view.recorder->capture_flow(slot, do53_index, flow_spans,
-                                session_epoch);
-  } else if (examine) {
-    view.recorder->examine_flow(
-        slot, do53_index, session_key, "do53",
-        netsim::ms_between(flow_start, view.sim.now()), before,
-        session_metrics.counters);
-  }
-  if (!obs.ok) {
-    ++out.failed;
-    if (net.metrics != nullptr) ++net.metrics->counters.failures;
-    net.series.count("failure", view.sim.now());
-    record_outcome("Do53",
-                   obs::classify_flow_outcome(window_signals(
-                       net.faults, "Do53", flow_start - session_epoch,
-                       view.sim.now() - session_epoch)),
-                   0.0, false);
-    co_return;
-  }
-  record_outcome(
-      "Do53",
-      obs::classify_flow_outcome(
-          {.ok = true,
-           .brownout_delays = session_metrics.counters.brownout_delays -
-                              before.brownout_delays}),
-      obs.tun.dns_ms, !obs.resolved_at_super_proxy);
-  if (!obs.resolved_at_super_proxy) {
-    if (net.metrics != nullptr) {
-      net.metrics->histogram("Do53").record(obs.tun.dns_ms);
-    }
-    net.series.latency("do53_ms", view.sim.now(), obs.tun.dns_ms);
-    Do53Record rec;
-    rec.exit_id = exit.id;
-    rec.iso2 = task.iso2_id;
-    rec.run = run;
-    rec.via_atlas = false;
-    rec.do53_ms = obs.tun.dns_ms;
-    out.do53.push_back(rec);
-  }
+      co_await do53_via_proxy(s.net, std::move(params));
+  s.end_flow(flow, s.plan.flow_labels[index]);
+  s.settle("Do53", flow, obs.ok, obs.tun.dns_ms,
+           !obs.resolved_at_super_proxy);
   // In Super Proxy countries the header value reflects the Super Proxy's
-  // own resolution and is discarded; Atlas fills the gap below.
+  // own resolution and is discarded; Atlas fills the gap.
+  if (!obs.ok || obs.resolved_at_super_proxy) co_return;
+  s.metrics.histogram("Do53").record(obs.tun.dns_ms);
+  s.net.series.latency("do53_ms", view.sim.now(), obs.tun.dns_ms);
+  s.out.do53.push_back({.exit_id = exit.id,
+                        .iso2 = st.task->iso2_id,
+                        .run = run,
+                        .do53_ms = obs.tun.dns_ms});
 }
 
-/// One Atlas Do53 measurement in `iso2`.
-// `iso2` and `session_key` are taken by value: the caller's strings may
-// die while this coroutine is suspended in the batch queue.
-netsim::Task<void> atlas_session(ShardView& view, std::string iso2,
-                                 StrId iso2_id, std::uint64_t slot,
-                                 std::string session_key,
-                                 netsim::Rng session_rng,
-                                 const CampaignConfig& config,
+/// One client session: one DoH measurement per studied provider, the
+/// warm block when [cache] or [reuse] is on, then one Do53 measurement.
+netsim::Task<void> exit_session(ShardView& view, const ExitState& st,
+                                int run, std::uint64_t slot,
+                                const CampaignPlan& plan,
+                                SessionOutput& out) {
+  const proxy::ExitNode& exit = st.local_exit;
+  Session s(view, plan, slot,
+            "shard-exit-" + std::to_string(exit.id) + "-run-" +
+                std::to_string(run),
+            exit.advertised_iso2, out);
+  const geo::LatLon focal[] = {exit.site.position, st.task->sp_site.position};
+  s.arm_faults(focal, plan.provider_names, exit.site.position);
+
+  for (std::size_t p = 0; p < plan.provider_ids.size(); ++p) {
+    co_await doh_step(s, st, run, p);
+  }
+  // Disabled configs skip the warm block without touching net.rng, so
+  // the cold measurements and the Do53 flow see exactly the draw
+  // sequence they always did and datasets stay byte-identical.
+  if (plan.config.cache.enabled || plan.config.reuse.enabled) {
+    co_await warm_step(s, st);
+  }
+  co_await do53_step(s, st, run);
+}
+
+/// One Atlas Do53 measurement in `t`'s country.
+netsim::Task<void> atlas_session(ShardView& view, const AtlasTask& t,
+                                 int index, std::uint64_t slot,
+                                 const CampaignPlan& plan,
                                  SessionOutput& out) {
-  netsim::NetCtx net{view.sim, view.world.latency(), session_rng};
-  obs::Metrics session_metrics;
-  const MergeMetricsOnExit merge_guard{view.metrics, &session_metrics};
-  net.metrics = &session_metrics;
-
-  const netsim::SimTime session_epoch = view.sim.now();
-  net.series = {view.series, session_epoch, "Do53", iso2};
-  net.attribution.ledger = view.attribution;
-  net.attribution.provider = "Do53";
-  net.attribution.country = iso2;
-
+  Session s(view, plan, slot,
+            "shard-atlas-" + t.iso2 + "-" + std::to_string(index), t.iso2,
+            out);
+  s.label("Do53");
   const proxy::AtlasProbe* probe =
-      view.world.atlas().pick_probe(iso2, net.rng);
+      view.world.atlas().pick_probe(t.iso2, s.net.rng);
   if (probe == nullptr) co_return;
   proxy::AtlasProbe local_probe = *probe;
   local_probe.default_resolver = view.local(probe->default_resolver);
 
-  const netsim::Duration campaign_base =
-      config.session_spacing * static_cast<std::int64_t>(slot);
-  const auto record_outcome = [&](obs::Outcome outcome, double latency_ms,
-                                  bool has_latency) {
-    if (view.slo == nullptr) return;
-    view.slo->record("Do53", iso2,
-                     campaign_base + (view.sim.now() - session_epoch),
-                     outcome, latency_ms, has_latency);
-  };
-
   // Atlas probes see the same weather as the proxy clients: episodes
   // centred near the probe itself (no Super Proxy leg, no DoH provider).
-  netsim::FaultPlan fault_plan;
-  if (config.faults.enabled()) {
-    const geo::LatLon focal[] = {local_probe.site.position};
-    fault_plan = netsim::FaultPlan::sample(config.faults, focal, {},
-                                           session_rng.split("fault-plan"));
-    if (config.faults.recurring_enabled()) {
-      fault_plan.append_recurring_episodes(
-          config.faults, campaign_base, kFaultRecordHorizon, {},
-          local_probe.site.position,
-          netsim::Duration{
-              static_cast<std::int64_t>(fnv1a64(iso2) >> 1)});
-    }
-    net.faults = &fault_plan;
-    net.fault_epoch = session_epoch;
-    record_fault_windows(view.series, fault_plan);
-  }
+  const geo::LatLon focal[] = {local_probe.site.position};
+  s.arm_faults(focal, {}, local_probe.site.position);
 
-  obs::SpanContext flow_spans;
-  const bool examine = view.recorder != nullptr &&
-                       view.recorder->enabled() &&
-                       !view.recorder->capturing();
-  const bool capture_this = view.recorder != nullptr &&
-                            view.recorder->capturing() &&
-                            view.recorder->wants_spans(slot, 0);
-  const obs::MetricCounters before = session_metrics.counters;
-  const netsim::SimTime flow_start = view.sim.now();
-  if (capture_this) net.spans = &flow_spans;
-
+  const FlowMark flow = s.begin_flow(0);
   // Fresh UUID per measurement (cache-miss by construction).
   const double ms = co_await view.world.atlas().measure_do53(
-      net, local_probe,
-      view.world.origin().with_subdomain(resolver::uuid_label(net.rng)));
-  if (capture_this) {
-    net.spans = nullptr;
-    view.recorder->capture_flow(slot, 0, flow_spans, session_epoch);
-  } else if (examine) {
-    view.recorder->examine_flow(
-        slot, 0, session_key, "atlas_do53",
-        netsim::ms_between(flow_start, view.sim.now()), before,
-        session_metrics.counters);
+      s.net, local_probe,
+      view.world.origin().with_subdomain(resolver::uuid_label(s.net.rng)));
+  s.end_flow(flow, "atlas_do53");
+  s.settle("Do53", flow, ms >= 0, ms, true);
+  if (ms < 0) co_return;
+  s.metrics.histogram("Do53").record(ms);
+  s.net.series.latency("do53_ms", view.sim.now(), ms);
+  s.out.do53.push_back({.exit_id = kAtlasExitId,
+                        .iso2 = t.iso2_id,
+                        .via_atlas = true,
+                        .do53_ms = ms});
+}
+
+/// Starts the session that owns canonical `slot` — run-major exit slots
+/// first, then the Atlas countries' — writing into `out`.
+/// `exit_state(e)` supplies exit `e`'s state.
+template <class ExitStateOf>
+netsim::Task<void> launch(ShardView& view, const CampaignPlan& plan,
+                          std::size_t slot, ExitStateOf&& exit_state,
+                          SessionOutput& out) {
+  if (slot < plan.n_exit_sessions) {
+    const std::size_t n_exits = plan.exits.size();
+    return exit_session(view, exit_state(slot % n_exits),
+                        static_cast<int>(slot / n_exits), slot, plan, out);
   }
-  if (ms < 0) {
-    ++out.failed;
-    if (net.metrics != nullptr) ++net.metrics->counters.failures;
-    net.series.count("failure", view.sim.now());
-    record_outcome(obs::classify_flow_outcome(window_signals(
-                       net.faults, "Do53", flow_start - session_epoch,
-                       view.sim.now() - session_epoch)),
-                   0.0, false);
-    co_return;
-  }
-  if (net.metrics != nullptr) net.metrics->histogram("Do53").record(ms);
-  net.series.latency("do53_ms", view.sim.now(), ms);
-  record_outcome(
-      obs::classify_flow_outcome(
-          {.ok = true,
-           .brownout_delays = session_metrics.counters.brownout_delays -
-                              before.brownout_delays}),
-      ms, true);
-  Do53Record rec;
-  rec.exit_id = kAtlasExitId;
-  rec.iso2 = iso2_id;
-  rec.run = 0;
-  rec.via_atlas = true;
-  rec.do53_ms = ms;
-  out.do53.push_back(rec);
+  const AtlasTask& t = *std::prev(std::ranges::upper_bound(
+      plan.atlas, slot, {}, &AtlasTask::slot_base));
+  return atlas_session(view, t, static_cast<int>(slot - t.slot_base), slot,
+                       plan, out);
 }
 
 /// Runs every session owned by one shard (exit index and Atlas-country
@@ -759,32 +727,29 @@ netsim::Task<void> atlas_session(ShardView& view, std::string iso2,
 /// shard's slab arena (ArenaScope installs it on this thread); by the
 /// final drain every frame has been recycled, and the arena's high-water
 /// mark is published in the profile.
-ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
-                       const CampaignConfig& config,
-                       const netsim::Rng& root, const CampaignPlan& plan,
+ShardProfile run_shard(ShardView view, std::size_t shard,
+                       std::size_t n_shards, const CampaignPlan& plan,
                        std::vector<SessionOutput>* retained,
                        StreamSink* stream) {
   const auto wall_start = std::chrono::steady_clock::now();
   ShardProfile profile;
-  profile.shard = shard_index;
+  profile.shard = static_cast<int>(shard);
   std::uint64_t events = 0;
 
   netsim::Arena arena;
   {
     const netsim::ArenaScope arena_scope(arena);
-    const std::size_t batch_cap = std::max<std::size_t>(1, config.batch_size);
+    const std::size_t batch_cap =
+        std::max<std::size_t>(1, plan.config.batch_size);
 
-    // Per-exit state for this shard's slice, keyed by exit index.
-    std::vector<std::pair<std::size_t, ExitState>> states;
-    for (std::size_t e = 0; e < plan.exits.size(); ++e) {
-      if (static_cast<int>(e % static_cast<std::size_t>(shard_count)) !=
-          shard_index) {
-        continue;
-      }
-      states.emplace_back(
-          e, make_exit_state(view, plan.exits[e], root,
-                             config.provider_failure_rate));
+    // Per-exit state for this shard's slice: exit e at e / n_shards.
+    std::vector<ExitState> states;
+    for (std::size_t e = shard; e < plan.exits.size(); e += n_shards) {
+      states.push_back(make_exit_state(view, plan, e));
     }
+    const auto exit_state = [&](std::size_t e) -> const ExitState& {
+      return states[e / n_shards];
+    };
 
     // Run sessions in batches so coroutine frames stay bounded. In
     // streaming mode each batch position owns a recycled SessionOutput;
@@ -794,7 +759,7 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
     if (stream != nullptr) ring.resize(batch_cap);
     std::vector<netsim::Task<void>> batch;
     batch.reserve(batch_cap);
-    auto drain = [&] {
+    const auto drain = [&] {
       events += view.sim.run();
       for (auto& task : batch) task.result();  // propagate exceptions
       if (stream != nullptr) {
@@ -808,43 +773,26 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
       }
       batch.clear();
     };
-    auto slot_output = [&](std::size_t slot) -> SessionOutput& {
-      return retained != nullptr ? (*retained)[slot] : ring[batch.size()];
+    const auto start = [&](std::size_t slot) {
+      SessionOutput& out =
+          retained != nullptr ? (*retained)[slot] : ring[batch.size()];
+      batch.push_back(launch(view, plan, slot, exit_state, out));
+      ++profile.sessions;
+      if (batch.size() >= batch_cap) drain();
     };
 
-    for (int run = 0; run < config.runs_per_client; ++run) {
-      for (const auto& [e, st] : states) {
-        const std::size_t slot =
-            static_cast<std::size_t>(run) * plan.exits.size() + e;
-        std::string key = exit_session_key(st.task->exit->id, run);
-        netsim::Rng session_rng = root.split(key);
-        SessionOutput& out = slot_output(slot);
-        batch.push_back(measure_session(
-            view, st, run, static_cast<std::uint64_t>(slot), std::move(key),
-            std::move(session_rng), config, plan, out));
-        ++profile.sessions;
-        if (batch.size() >= batch_cap) drain();
+    for (int run = 0; run < plan.config.runs_per_client; ++run) {
+      for (std::size_t e = shard; e < plan.exits.size(); e += n_shards) {
+        start(static_cast<std::size_t>(run) * plan.exits.size() + e);
       }
     }
     drain();
 
     // The Atlas remedy for the 11 Super Proxy countries.
-    for (std::size_t c = 0; c < plan.atlas.size(); ++c) {
-      if (static_cast<int>(c % static_cast<std::size_t>(shard_count)) !=
-          shard_index) {
-        continue;
-      }
+    for (std::size_t c = shard; c < plan.atlas.size(); c += n_shards) {
       const AtlasTask& t = plan.atlas[c];
       for (int i = 0; i < t.count; ++i) {
-        const std::size_t slot = t.slot_base + static_cast<std::size_t>(i);
-        std::string key = atlas_session_key(t.iso2, i);
-        netsim::Rng session_rng = root.split(key);
-        SessionOutput& out = slot_output(slot);
-        batch.push_back(atlas_session(
-            view, t.iso2, t.iso2_id, static_cast<std::uint64_t>(slot),
-            std::move(key), std::move(session_rng), config, out));
-        ++profile.sessions;
-        if (batch.size() >= batch_cap) drain();
+        start(t.slot_base + static_cast<std::size_t>(i));
       }
     }
     drain();
@@ -853,10 +801,7 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
 
   profile.events = events;
   profile.queue_high_water = view.sim.queue_high_water();
-  profile.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  profile.wall_seconds = seconds_since(wall_start);
   return profile;
 }
 
@@ -867,59 +812,33 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
 /// same property), so a replayed flow records the identical tree it
 /// would have recorded the first time — which is what lets the hot path
 /// examine millions of flows without materializing a single span.
-void replay_anomaly_spans(world::WorldModel& world,
-                          const CampaignConfig& config,
-                          const netsim::Rng& root, const CampaignPlan& plan,
+void replay_anomaly_spans(world::WorldModel& world, const CampaignPlan& plan,
                           obs::FlightRecorder& recorder) {
   if (recorder.retained().empty()) return;
 
   std::vector<obs::FlowKey> keys;
-  keys.reserve(recorder.retained().size());
   for (const auto& [key, rec] : recorder.retained()) keys.push_back(key);
 
   obs::FlightRecorder capturer(recorder.policy());
   capturer.capture_spans_for(keys);
 
   const std::unique_ptr<world::SimContext> replica = world.make_replica();
-  ShardView view{world, replica->sim(), replica.get(), nullptr, nullptr,
-                 &capturer};
+  ShardView view{.world = world,
+                 .sim = replica->sim(),
+                 .replica = replica.get(),
+                 .recorder = &capturer};
+  std::optional<ExitState> state;
+  const auto exit_state = [&](std::size_t e) -> const ExitState& {
+    return state.emplace(make_exit_state(view, plan, e));
+  };
 
-  const std::size_t n_exit_sessions =
-      static_cast<std::size_t>(config.runs_per_client) * plan.exits.size();
-  SessionOutput scratch;
   for (std::size_t k = 0; k < keys.size(); ++k) {
     const std::uint64_t slot = keys[k].first;
     if (k > 0 && keys[k - 1].first == slot) continue;  // session done
-    if (slot < n_exit_sessions) {
-      const auto e = static_cast<std::size_t>(slot % plan.exits.size());
-      const int run = static_cast<int>(slot / plan.exits.size());
-      const ExitState st = make_exit_state(view, plan.exits[e], root,
-                                           config.provider_failure_rate);
-      std::string key = exit_session_key(st.task->exit->id, run);
-      netsim::Rng session_rng = root.split(key);
-      netsim::Task<void> task = measure_session(
-          view, st, run, slot, std::move(key), std::move(session_rng),
-          config, plan, scratch);
-      view.sim.run();
-      task.result();
-    } else {
-      for (const AtlasTask& t : plan.atlas) {
-        if (slot < t.slot_base ||
-            slot >= t.slot_base + static_cast<std::size_t>(t.count)) {
-          continue;
-        }
-        const int i = static_cast<int>(slot - t.slot_base);
-        std::string key = atlas_session_key(t.iso2, i);
-        netsim::Rng session_rng = root.split(key);
-        netsim::Task<void> task = atlas_session(
-            view, t.iso2, t.iso2_id, slot, std::move(key),
-            std::move(session_rng), config, scratch);
-        view.sim.run();
-        task.result();
-        break;
-      }
-    }
-    scratch = SessionOutput{};  // replay output is never published
+    SessionOutput scratch;  // replay output is never published
+    netsim::Task<void> task = launch(view, plan, slot, exit_state, scratch);
+    view.sim.run();
+    task.result();
   }
 
   for (const auto& [key, spans] : capturer.captured()) {
@@ -930,69 +849,55 @@ void replay_anomaly_spans(world::WorldModel& world,
 /// Shared execution engine behind both sink modes: spins up the shard
 /// workers (or the serial reference path when `shards` == 0), routes
 /// each shard's rows into either the retained per-slot outputs or its
-/// private StreamSink, merges the observability state in canonical shard
-/// order, runs the anomaly replay pass, and returns the shard profiles.
+/// private StreamSink, merges the shards' store bundles in canonical
+/// shard order, runs the anomaly replay pass, and returns the shard
+/// profiles.
 std::vector<ShardProfile> execute_campaign(
-    world::WorldModel& world, const CampaignConfig& config,
-    const netsim::Rng& root, const CampaignPlan& plan, int shards,
+    world::WorldModel& world, const CampaignPlan& plan, int shards,
     std::vector<SessionOutput>* retained, std::vector<StreamSink>* sinks,
     ObsStores& out) {
-  // One metrics registry, one sim-time series, and one flight recorder
-  // per shard; sessions record without contention and everything merges
-  // below in canonical shard order. Counter/bucket arithmetic is
-  // integer-only and anomaly retention is canonical-order, so the merged
-  // results are identical for every shard count.
+  const CampaignConfig& config = plan.config;
   const std::size_t n_shards = static_cast<std::size_t>(std::max(shards, 1));
-  std::vector<obs::Metrics> shard_metrics(n_shards);
-  std::vector<obs::MetricSeries> shard_series(
-      n_shards, obs::MetricSeries(config.series_window));
-  std::vector<obs::FlightRecorder> shard_recorders(
-      n_shards, obs::FlightRecorder(config.anomalies));
-  std::vector<obs::SloTracker> shard_slo(n_shards,
-                                         obs::SloTracker(config.slo));
-  std::vector<obs::AttributionLedger> shard_attribution(n_shards);
+  std::vector<ObsStores> shard_stores(n_shards, ObsStores(config));
   std::vector<ShardProfile> profiles(n_shards);
 
   // A store the run does not record is never attached: its shard copies
-  // stay empty, so the merges below produce the empty store.
-  const auto view_of = [&](std::size_t si, netsim::Simulator& sim,
+  // stay empty, so the merge produces the empty store.
+  const auto run_one = [&](std::size_t si, netsim::Simulator& sim,
                            world::SimContext* replica) {
-    const auto attach = [&](unsigned bit, auto& stores) {
-      return (config.stores & bit) != 0 ? &stores[si] : nullptr;
+    ObsStores& b = shard_stores[si];
+    const auto attach = [&](unsigned bit, auto& store) {
+      return (config.stores & bit) != 0 ? &store : nullptr;
     };
-    return ShardView{world,
-                     sim,
-                     replica,
-                     &shard_metrics[si],
-                     attach(store::kSeries, shard_series),
-                     attach(store::kRecorder, shard_recorders),
-                     attach(store::kSlo, shard_slo),
-                     attach(store::kAttribution, shard_attribution)};
+    const ShardView view{world,
+                         sim,
+                         replica,
+                         &b.metrics,
+                         attach(store::kSeries, b.series),
+                         attach(store::kRecorder, b.anomalies),
+                         attach(store::kSlo, b.slo),
+                         attach(store::kAttribution, b.attribution)};
+    profiles[si] = run_shard(view, si, n_shards, plan, retained,
+                             sinks != nullptr ? &(*sinks)[si] : nullptr);
   };
 
   if (shards == 0) {
     // Serial reference path: the world's own simulator and servers.
-    profiles[0] = run_shard(view_of(0, world.sim(), nullptr), 0, 1, config,
-                            root, plan, retained,
-                            sinks != nullptr ? &(*sinks)[0] : nullptr);
+    run_one(0, world.sim(), nullptr);
   } else {
     std::vector<std::thread> workers;
-    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards));
-    workers.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      workers.emplace_back([&, s] {
+    std::vector<std::exception_ptr> errors(n_shards);
+    workers.reserve(n_shards);
+    for (std::size_t si = 0; si < n_shards; ++si) {
+      workers.emplace_back([&, si] {
         try {
           // Each worker builds (and owns) its replica so even the server
           // stack replication runs in parallel.
           const std::unique_ptr<world::SimContext> replica =
               world.make_replica();
-          const auto si = static_cast<std::size_t>(s);
-          profiles[si] = run_shard(
-              view_of(si, replica->sim(), replica.get()), s, shards, config,
-              root, plan, retained,
-              sinks != nullptr ? &(*sinks)[si] : nullptr);
+          run_one(si, replica->sim(), replica.get());
         } catch (...) {
-          errors[static_cast<std::size_t>(s)] = std::current_exception();
+          errors[si] = std::current_exception();
         }
       });
     }
@@ -1002,149 +907,102 @@ std::vector<ShardProfile> execute_campaign(
     }
   }
 
-  out.metrics.clear();
-  for (const obs::Metrics& m : shard_metrics) out.metrics.merge(m);
-  out.series = obs::MetricSeries(config.series_window);
-  for (const obs::MetricSeries& s : shard_series) out.series.merge(s);
-  out.anomalies = obs::FlightRecorder(config.anomalies);
-  for (const obs::FlightRecorder& r : shard_recorders) {
-    out.anomalies.merge(r);
-  }
-  out.anomalies.finalize();
-  out.slo = obs::SloTracker(config.slo);
-  for (const obs::SloTracker& t : shard_slo) out.slo.merge(t);
-  out.attribution.clear();
-  for (const obs::AttributionLedger& l : shard_attribution) {
-    out.attribution.merge(l);
-  }
+  out = ObsStores(config);
+  for (const ObsStores& b : shard_stores) out.merge(b);
   // Fill in the retained anomalies' span trees by deterministically
   // re-running just those sessions (≤ ring_capacity of them) with span
   // recording on — the hot path above examined every flow span-free.
   // With the recorder off nothing was retained and no replica is built.
-  replay_anomaly_spans(world, config, root, plan, out.anomalies);
+  replay_anomaly_spans(world, plan, out.anomalies);
   return profiles;
 }
 
 }  // namespace
 
+void ObsStores::merge(const ObsStores& other) {
+  metrics.merge(other.metrics);
+  series.merge(other.series);
+  anomalies.merge(other.anomalies);
+  anomalies.finalize();
+  slo.merge(other.slo);
+  attribution.merge(other.attribution);
+}
+
 Campaign::Campaign(world::WorldModel& world, CampaignConfig config)
-    : world_(world), config_(config) {}
+    : world_(world), config_(config), stores_(config_) {}
 
-int Campaign::threads_from_env() {
-  if (const char* value = std::getenv("DOHPERF_THREADS")) {
-    const int n = std::atoi(value);
-    if (n > 0) return n;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-Dataset Campaign::run() {
-  const int threads = config_.threads > 0 ? config_.threads
-                                          : threads_from_env();
-  return run_impl(std::max(1, threads));
-}
-
-Dataset Campaign::run_serial() { return run_impl(0); }
-
-StreamSink Campaign::run_streaming() {
-  const int threads = config_.threads > 0 ? config_.threads
-                                          : threads_from_env();
-  return run_streaming_impl(std::max(1, threads));
-}
-
-StreamSink Campaign::run_streaming_serial() { return run_streaming_impl(0); }
-
-Dataset Campaign::run_impl(int shards) {
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  CampaignPlan plan = build_plan(world_, config_);
+Dataset Campaign::run(std::optional<int> shards) {
   Dataset out;
-  out.names() = plan.names;  // records carry ids from the plan's table
-  out.discarded_mismatch = plan.discarded_mismatch;
-  for (ClientInfo& info : plan.clients) out.add_client(std::move(info));
-
-  // Session randomness descends from the world seed through stable keys
-  // only; split() is a pure function of (seed, tag), so the root can be
-  // derived regardless of how much the world RNG has already been used.
-  const netsim::Rng root = world_.rng().split("campaign-sessions");
-
-  std::vector<SessionOutput> outputs(plan.n_sessions);
-  std::vector<ShardProfile> profiles =
-      execute_campaign(world_, config_, root, plan, shards, &outputs,
-                       nullptr, stores_);
-
-  std::uint64_t events = 0;
-  for (const ShardProfile& p : profiles) events += p.events;
-  stats_.shards = std::max(shards, 1);
-  stats_.shard_profiles = std::move(profiles);
-
-  // --- Merge in canonical slot order -----------------------------------
-  for (SessionOutput& slot : outputs) {
-    for (DohRecord& rec : slot.doh) out.add_doh(rec);
-    for (Do53Record& rec : slot.do53) out.add_do53(rec);
-    out.failed_measurements += slot.failed;
-  }
-
-  stats_.sessions = plan.n_sessions;
-  stats_.events_processed = events;
-  stats_.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  execute(shards, &out, nullptr);
   return out;
 }
 
-StreamSink Campaign::run_streaming_impl(int shards) {
+StreamSink Campaign::run_streaming(std::optional<int> shards) {
+  StreamSink out;
+  execute(shards, nullptr, &out);
+  return out;
+}
+
+void Campaign::execute(std::optional<int> shards, Dataset* retained,
+                       StreamSink* streamed) {
   const auto wall_start = std::chrono::steady_clock::now();
+  const int n = shards             ? std::max(*shards, 0)
+                 : config_.threads > 0 ? config_.threads
+                                       : threads_from_env();
+  const auto n_shards = static_cast<std::size_t>(std::max(n, 1));
+  CampaignPlan plan = build_plan(world_, config_);
 
-  const CampaignPlan plan = build_plan(world_, config_);
-
-  // Canonical exit enumeration handed to every shard sink so unique-
-  // client bitsets and client-stat arrays agree across shard counts.
-  std::vector<std::uint64_t> exit_ids;
-  std::vector<StrId> exit_iso2;
-  std::vector<double> exit_ns_distance;
-  exit_ids.reserve(plan.exits.size());
-  exit_iso2.reserve(plan.exits.size());
-  exit_ns_distance.reserve(plan.exits.size());
-  for (std::size_t e = 0; e < plan.exits.size(); ++e) {
-    exit_ids.push_back(plan.exits[e].exit->id);
-    exit_iso2.push_back(plan.exits[e].iso2_id);
-    exit_ns_distance.push_back(plan.clients[e].nameserver_distance_miles);
-  }
-
-  const std::size_t n_shards = static_cast<std::size_t>(std::max(shards, 1));
+  std::vector<SessionOutput> slots;
   std::vector<StreamSink> sinks;
-  sinks.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    sinks.emplace_back(config_.stream, config_.runs_per_client, exit_ids,
-                       exit_iso2, exit_ns_distance, plan.provider_ids,
-                       plan.names);
+  if (retained != nullptr) {
+    slots.resize(plan.n_sessions);
+  } else {
+    // Canonical exit enumeration handed to every shard sink so unique-
+    // client bitsets and client-stat arrays agree across shard counts.
+    std::vector<std::uint64_t> exit_ids;
+    std::vector<StrId> exit_iso2;
+    std::vector<double> exit_ns_distance;
+    for (std::size_t e = 0; e < plan.exits.size(); ++e) {
+      exit_ids.push_back(plan.exits[e].exit->id);
+      exit_iso2.push_back(plan.exits[e].iso2_id);
+      exit_ns_distance.push_back(plan.clients[e].nameserver_distance_miles);
+    }
+    sinks.reserve(n_shards);
+    for (std::size_t s = 0; s < n_shards; ++s) {
+      sinks.emplace_back(config_.stream, config_.runs_per_client, exit_ids,
+                         exit_iso2, exit_ns_distance, plan.provider_ids,
+                         plan.names);
+    }
   }
 
-  const netsim::Rng root = world_.rng().split("campaign-sessions");
+  stats_.shard_profiles =
+      execute_campaign(world_, plan, n, retained ? &slots : nullptr,
+                       retained ? nullptr : &sinks, stores_);
 
-  std::vector<ShardProfile> profiles =
-      execute_campaign(world_, config_, root, plan, shards, nullptr, &sinks,
-                       stores_);
+  if (retained != nullptr) {
+    // Merge in canonical slot order; records carry ids from the plan's
+    // string table.
+    retained->names() = plan.names;
+    retained->discarded_mismatch = plan.discarded_mismatch;
+    for (ClientInfo& info : plan.clients) retained->add_client(std::move(info));
+    for (SessionOutput& slot : slots) {
+      for (DohRecord& rec : slot.doh) retained->add_doh(rec);
+      for (Do53Record& rec : slot.do53) retained->add_do53(rec);
+      retained->failed_measurements += slot.failed;
+    }
+  } else {
+    *streamed = std::move(sinks[0]);
+    for (std::size_t s = 1; s < sinks.size(); ++s) streamed->merge(sinks[s]);
+    streamed->discarded_mismatch = plan.discarded_mismatch;
+  }
 
-  std::uint64_t events = 0;
-  for (const ShardProfile& p : profiles) events += p.events;
-  stats_.shards = std::max(shards, 1);
-  stats_.shard_profiles = std::move(profiles);
-
-  StreamSink merged = std::move(sinks[0]);
-  for (std::size_t s = 1; s < sinks.size(); ++s) merged.merge(sinks[s]);
-  merged.discarded_mismatch = plan.discarded_mismatch;
-
+  stats_.shards = static_cast<int>(n_shards);
   stats_.sessions = plan.n_sessions;
-  stats_.events_processed = events;
-  stats_.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return merged;
+  stats_.events_processed = 0;
+  for (const ShardProfile& p : stats_.shard_profiles) {
+    stats_.events_processed += p.events;
+  }
+  stats_.wall_seconds = seconds_since(wall_start);
 }
 
 }  // namespace dohperf::measure

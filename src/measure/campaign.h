@@ -17,15 +17,18 @@
 // canonical order — so the output is bit-identical for every thread
 // count, including the serial reference path.
 //
-// Two sink modes share the execution engine:
-//   * run() / run_serial()            -> retained-rows Dataset (paper-
-//     scale analyses; every record resident).
-//   * run_streaming() / *_serial()    -> StreamSink (million-session
-//     scale; rows folded into sketches/bitsets/counters as sessions
-//     complete, O(world) memory instead of O(sessions)).
+// Two entry points share one engine body:
+//   * run()           -> retained-rows Dataset (paper-scale analyses;
+//     every record resident).
+//   * run_streaming() -> StreamSink (million-session scale; rows folded
+//     into sketches/bitsets/counters as sessions complete, O(world)
+//     memory instead of O(sessions)).
+// Both take the shard count: none = CampaignConfig::threads, 0 = the
+// serial reference path.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -151,8 +154,20 @@ struct CampaignStats {
   std::vector<ShardProfile> shard_profiles;
 };
 
-/// The merged observability stores of one run (see Campaign's accessors).
+/// The observability stores of one run. Each shard records into its own
+/// bundle; the bundles merge in canonical shard order into the
+/// campaign's (see Campaign::stores()).
 struct ObsStores {
+  explicit ObsStores(const CampaignConfig& config)
+      : series(config.series_window),
+        anomalies(config.anomalies),
+        slo(config.slo) {}
+
+  /// Folds `other` into this bundle and finalizes the flight recorder.
+  /// Shards own disjoint slots, so finalizing after every merge keeps the
+  /// same canonical-latest records as finalizing once after the last.
+  void merge(const ObsStores& other);
+
   obs::Metrics metrics;
   obs::MetricSeries series;
   obs::FlightRecorder anomalies;
@@ -165,80 +180,40 @@ class Campaign {
  public:
   explicit Campaign(world::WorldModel& world, CampaignConfig config = {});
 
-  /// Executes every session, sharded across worker threads (see
-  /// CampaignConfig::threads), and returns the merged dataset.
-  [[nodiscard]] Dataset run();
-
-  /// Reference path: every session on the world's own simulator and
-  /// server stack, no replicas, no threads. run() at any thread count is
-  /// bit-identical to this.
-  [[nodiscard]] Dataset run_serial();
+  /// Executes every session and returns the merged dataset. `shards`
+  /// worker threads run the sessions (default: CampaignConfig::threads);
+  /// 0 selects the serial reference path — every session on the world's
+  /// own simulator and server stack, no replicas, no threads. The result
+  /// is bit-identical for every value.
+  [[nodiscard]] Dataset run(std::optional<int> shards = {});
 
   /// Streaming-sink mode: rows are folded into the per-shard sinks as
   /// sessions complete and never accumulate. Memory stays O(world);
-  /// aggregate results are bit-identical for every thread count.
-  [[nodiscard]] StreamSink run_streaming();
-
-  /// Serial reference path for the streaming sink.
-  [[nodiscard]] StreamSink run_streaming_serial();
+  /// `shards` as for run().
+  [[nodiscard]] StreamSink run_streaming(std::optional<int> shards = {});
 
   /// Counters of the most recent run.
   [[nodiscard]] const CampaignStats& stats() const { return stats_; }
 
-  /// Observability metrics of the most recent run: wire/query/handshake
-  /// counters plus per-provider resolution-latency histograms. Shards
-  /// record into private registries that are merged in canonical shard
-  /// order; integer-only arithmetic makes the result bit-identical for
-  /// every thread count (see DESIGN.md "Observability").
-  [[nodiscard]] const obs::Metrics& metrics() const {
-    return stores_.metrics;
-  }
-
-  /// Sim-time metric series of the most recent run: per-window counters
-  /// and latency histograms under provider x country labels, recorded by
-  /// each shard into a private series and merged in canonical shard
-  /// order. Same bit-identity contract as metrics(); empty unless
-  /// store::kSeries is in CampaignConfig::stores.
-  [[nodiscard]] const obs::MetricSeries& series() const {
-    return stores_.series;
-  }
-
-  /// Anomaly flight recorder of the most recent run: merged, finalized,
-  /// holding the canonical-latest retained anomalies and the examination
-  /// counts. Same bit-identity contract as metrics(); empty unless
-  /// store::kRecorder is in CampaignConfig::stores.
-  [[nodiscard]] const obs::FlightRecorder& anomalies() const {
-    return stores_.anomalies;
-  }
-
-  /// SLO outcome tracker of the most recent run: per-(provider, country)
-  /// outcome counts in campaign-time windows, classified once at each
-  /// flow's exit path. Same bit-identity contract as metrics(); empty
-  /// unless store::kSlo is in CampaignConfig::stores.
-  [[nodiscard]] const obs::SloTracker& slo() const { return stores_.slo; }
-
-  /// Phase-exact latency attribution ledger of the most recent run:
-  /// per-(provider, country, transport) integer microsecond sums and
-  /// sketches whose phases partition each flow's end-to-end latency
-  /// exactly. Same bit-identity contract as metrics(); empty unless
-  /// store::kAttribution is in CampaignConfig::stores.
-  [[nodiscard]] const obs::AttributionLedger& attribution() const {
-    return stores_.attribution;
-  }
+  /// Observability stores of the most recent run: wire/query/handshake
+  /// counters and per-provider latency histograms (metrics), sim-time
+  /// series, the finalized anomaly flight recorder, SLO outcome cells and
+  /// the phase-exact attribution ledger. Integer-only cells and
+  /// canonical-order merges make every store bit-identical for every
+  /// shard count (see DESIGN.md "Observability"). A store missing from
+  /// CampaignConfig::stores is empty.
+  [[nodiscard]] const ObsStores& stores() const { return stores_; }
 
   /// Moves the stores of the most recent run out of the campaign, so a
-  /// caller that keeps them never holds two copies; the accessors above
-  /// read moved-from stores afterwards.
+  /// caller that keeps them never holds two copies; stores() reads
+  /// moved-from stores afterwards.
   [[nodiscard]] ObsStores release_stores() { return std::move(stores_); }
 
-  /// DOHPERF_THREADS from the environment, falling back to
-  /// std::thread::hardware_concurrency() (minimum 1).
-  [[nodiscard]] static int threads_from_env();
-
  private:
-  /// `shards` == 0 selects the serial reference path.
-  Dataset run_impl(int shards);
-  StreamSink run_streaming_impl(int shards);
+  /// The one engine body behind both entry points; exactly one of
+  /// `retained` and `streamed` is set.
+  void execute(std::optional<int> shards, Dataset* retained,
+               StreamSink* streamed);
 
   world::WorldModel& world_;
   CampaignConfig config_;

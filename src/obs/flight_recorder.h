@@ -131,12 +131,12 @@ class FlightRecorder {
   [[nodiscard]] const AnomalyCounts& counts() const { return counts_; }
 
   /// Folds another recorder's retained records and counts into this one
-  /// *without* re-truncating — callers merge all shards first, then call
-  /// finalize() once so the global canonical-latest K survives intact.
+  /// *without* re-truncating. Call finalize() afterwards; over recorders
+  /// with disjoint keys (one per shard), finalizing after each merge or
+  /// once after the last keeps the same canonical-latest K.
   void merge(const FlightRecorder& other);
 
-  /// Evicts canonical-oldest records down to ring_capacity. Call after
-  /// the last merge.
+  /// Evicts canonical-oldest records down to ring_capacity.
   void finalize();
 
   // --- Replay pass -----------------------------------------------------

@@ -2,7 +2,7 @@
 //
 // The campaign's contract: the merged dataset is BIT-identical for every
 // shard count, and identical to the serial reference path
-// (Campaign::run_serial). Every field is compared exactly — doubles
+// (Campaign::run(0)). Every field is compared exactly — doubles
 // included — because sharding must not perturb a single bit of output.
 // A small world (client_scale = 0.05) keeps each campaign around a
 // second; each run builds a fresh world from the same seed since a
@@ -111,7 +111,7 @@ const Dataset& golden_serial() {
   static const Dataset data = [] {
     auto world = fresh_world();
     Campaign campaign(*world, campaign_config(1));
-    return campaign.run_serial();
+    return campaign.run(0);
   }();
   return data;
 }
@@ -135,7 +135,7 @@ TEST(DeterminismTest, RepeatedShardedRunsAreIdentical) {
 TEST(DeterminismTest, SerialPathReportsOneShard) {
   auto world = fresh_world();
   Campaign campaign(*world, campaign_config(1));
-  const Dataset data = campaign.run_serial();
+  const Dataset data = campaign.run(0);
   EXPECT_FALSE(data.doh().empty());
   EXPECT_EQ(campaign.stats().shards, 1);
   EXPECT_GT(campaign.stats().sessions, 0u);
@@ -147,9 +147,9 @@ obs::Metrics metrics_with_shards(int threads) {
   auto world = fresh_world();
   Campaign campaign(*world, campaign_config(threads));
   const Dataset data =
-      threads == 0 ? campaign.run_serial() : campaign.run();
+      threads == 0 ? campaign.run(0) : campaign.run();
   EXPECT_FALSE(data.doh().empty());
-  return campaign.metrics();
+  return campaign.stores().metrics;
 }
 
 // The merged metrics registry carries the same contract as the dataset:
@@ -195,7 +195,7 @@ const Dataset& golden_fault_serial() {
   static const Dataset data = [] {
     auto world = fresh_world();
     Campaign campaign(*world, fault_config(1));
-    return campaign.run_serial();
+    return campaign.run(0);
   }();
   return data;
 }
@@ -211,7 +211,7 @@ TEST(DeterminismTest, FaultCampaignRecordsRetryActivity) {
   Campaign campaign(*world, fault_config(2));
   const Dataset data = campaign.run();
   EXPECT_FALSE(data.doh().empty());
-  const obs::Metrics& m = campaign.metrics();
+  const obs::Metrics& m = campaign.stores().metrics;
   // The canonical plan must actually exercise the retry machinery: data
   // and handshake retransmits, hard give-ups, and backoff samples.
   EXPECT_GT(m.counters.loss_retries, 0u);
@@ -226,9 +226,9 @@ TEST(DeterminismTest, FaultMetricsIdenticalAcrossShardCounts) {
     auto world = fresh_world();
     Campaign campaign(*world, fault_config(threads));
     const Dataset data =
-        threads == 0 ? campaign.run_serial() : campaign.run();
+        threads == 0 ? campaign.run(0) : campaign.run();
     EXPECT_FALSE(data.doh().empty());
-    return campaign.metrics();
+    return campaign.stores().metrics;
   };
   const obs::Metrics serial = fault_metrics(0);
   EXPECT_TRUE(fault_metrics(1) == serial);
@@ -261,10 +261,11 @@ TEST(DeterminismTest, WarmCampaignBitIdenticalAcrossShardCounts) {
   const auto run = [](int threads) {
     auto world = fresh_world();
     Campaign campaign(*world, warm_config(threads));
-    Dataset data = threads == 0 ? campaign.run_serial() : campaign.run();
+    Dataset data = threads == 0 ? campaign.run(0) : campaign.run();
     EXPECT_FALSE(data.doh().empty());
-    return Outputs{std::move(data), campaign.metrics(), campaign.series(),
-                   report::attribution_csv(campaign.attribution()).str()};
+    const ObsStores& stores = campaign.stores();
+    return Outputs{std::move(data), stores.metrics, stores.series,
+                   report::attribution_csv(stores.attribution).str()};
   };
 
   const Outputs serial = run(0);
@@ -360,11 +361,12 @@ TEST(DeterminismTest, ObservabilityOutputsBitIdenticalAcrossShardCounts) {
     auto world = fresh_world();
     Campaign campaign(*world, obs_fault_config(threads));
     const Dataset data =
-        threads == 0 ? campaign.run_serial() : campaign.run();
+        threads == 0 ? campaign.run(0) : campaign.run();
     EXPECT_FALSE(data.doh().empty());
-    return Outputs{campaign.series(), campaign.anomalies(), fig4_csv(data),
+    const ObsStores& stores = campaign.stores();
+    return Outputs{stores.series, stores.anomalies, fig4_csv(data),
                    fig5_csv(data),
-                   report::attribution_csv(campaign.attribution()).str()};
+                   report::attribution_csv(stores.attribution).str()};
   };
 
   const Outputs serial = run(0);
@@ -400,6 +402,42 @@ TEST(DeterminismTest, ObservabilityOutputsBitIdenticalAcrossShardCounts) {
   }
 }
 
+// Retention keeps the canonical-latest anomalies and the Atlas slots come
+// last, so the test above may replay only Atlas sessions. With a ring
+// large enough to keep every anomaly, the replay pass must re-run both
+// session kinds — exit sessions (doh:* / do53 flows) and Atlas sessions
+// — and the replayed recorder must still be shard-invariant.
+TEST(DeterminismTest, ReplayCoversExitAndAtlasSessions) {
+  const auto run = [](int threads) {
+    auto world = fresh_world();
+    CampaignConfig config = obs_fault_config(threads);
+    config.anomalies.ring_capacity = 1'000'000;
+    Campaign campaign(*world, config);
+    const Dataset data = threads == 0 ? campaign.run(0) : campaign.run();
+    EXPECT_FALSE(data.doh().empty());
+    return campaign.stores().anomalies;
+  };
+
+  const obs::FlightRecorder serial = run(0);
+  EXPECT_EQ(serial.counts().evicted, 0u);
+  bool exit_flow = false;
+  bool atlas_flow = false;
+  for (const auto& [key, rec] : serial.retained()) {
+    EXPECT_FALSE(rec.spans.empty())
+        << "slot " << key.first << " flow " << key.second;
+    if (rec.spans.empty()) continue;
+    exit_flow =
+        exit_flow || rec.flow == "do53" || rec.flow.starts_with("doh:");
+    atlas_flow = atlas_flow || rec.flow == "atlas_do53";
+  }
+  EXPECT_TRUE(exit_flow);
+  EXPECT_TRUE(atlas_flow);
+
+  for (const int threads : {2, 4}) {
+    EXPECT_TRUE(run(threads) == serial) << threads << " threads";
+  }
+}
+
 // --- SLO tracker ------------------------------------------------------
 // The SLO pipeline stacks every shard-sensitive mechanism at once: a
 // virtual campaign-time axis (session_spacing), recurring provider
@@ -432,10 +470,10 @@ TEST(DeterminismTest, SloOutputsBitIdenticalAcrossShardCounts) {
     auto world = fresh_world();
     Campaign campaign(*world, slo_fault_config(threads));
     const Dataset data =
-        threads == 0 ? campaign.run_serial() : campaign.run();
+        threads == 0 ? campaign.run(0) : campaign.run();
     EXPECT_FALSE(data.doh().empty());
-    return Outputs{campaign.slo(), campaign.slo().evaluate(),
-                   report::availability_csv(campaign.slo()).str()};
+    return Outputs{campaign.stores().slo, campaign.stores().slo.evaluate(),
+                   report::availability_csv(campaign.stores().slo).str()};
   };
 
   const Outputs serial = run(0);
@@ -502,7 +540,7 @@ CampaignConfig stream_config(int threads) {
 StreamSink stream_with_shards(int threads) {
   auto world = fresh_world();
   Campaign campaign(*world, stream_config(threads));
-  return threads == 0 ? campaign.run_streaming_serial()
+  return threads == 0 ? campaign.run_streaming(0)
                       : campaign.run_streaming();
 }
 
@@ -630,10 +668,11 @@ TEST(DeterminismTest, StreamingAgreesWithRetainedCampaign) {
               stats::median(all_doh), stats::median(all_doh) * 0.05);
 
   // The observability side is sink-independent entirely.
-  EXPECT_TRUE(stream_campaign.metrics() == retained_campaign.metrics());
-  EXPECT_TRUE(stream_campaign.series() == retained_campaign.series());
-  EXPECT_TRUE(stream_campaign.anomalies() ==
-              retained_campaign.anomalies());
+  const ObsStores& streamed = stream_campaign.stores();
+  const ObsStores& retained = retained_campaign.stores();
+  EXPECT_TRUE(streamed.metrics == retained.metrics);
+  EXPECT_TRUE(streamed.series == retained.series);
+  EXPECT_TRUE(streamed.anomalies == retained.anomalies);
 }
 
 TEST(DeterminismTest, ShardProfilesReportArenaActivity) {
