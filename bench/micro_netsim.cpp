@@ -1,15 +1,20 @@
 // Micro-benchmarks: simulator core (event queue, coroutine round trips,
-// latency sampling, RNG).
+// latency sampling, nearest-PoP search, RNG).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "netsim/event_queue.h"
 #include "netsim/netctx.h"
 #include "netsim/simulator.h"
 #include "netsim/task.h"
+#include "world/world_model.h"
 
 namespace {
 
 using namespace dohperf::netsim;
+namespace world = dohperf::world;
+namespace geo = dohperf::geo;
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -66,6 +71,57 @@ void BM_LatencySample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LatencySample);
+
+/// Every exit position of the default world, and the world itself (its
+/// providers own the nearest-site indexes).
+struct ExitWorld {
+  world::WorldModel model{world::WorldConfig{}};
+  std::vector<geo::LatLon> exits;
+
+  ExitWorld() {
+    for (std::uint64_t id = 0; id < model.exit_count(); ++id) {
+      exits.push_back(model.brightdata().find(id)->site.position);
+    }
+  }
+};
+
+ExitWorld& exit_world() {
+  static ExitWorld w;
+  return w;
+}
+
+/// One nearest-PoP query per (exit, provider), cycling through the world.
+void BM_NearestPop(benchmark::State& state) {
+  ExitWorld& w = exit_world();
+  const auto providers = w.model.providers();
+  std::size_t e = 0;
+  for (auto _ : state) {
+    for (const auto& provider : providers) {
+      benchmark::DoNotOptimize(provider.router().sites().nearest(w.exits[e]));
+    }
+    if (++e == w.exits.size()) e = 0;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(providers.size()));
+}
+BENCHMARK(BM_NearestPop);
+
+/// The detour ranking (neighborhood_k + 1 nearest) per (exit, provider).
+void BM_RankedPop(benchmark::State& state) {
+  ExitWorld& w = exit_world();
+  const auto providers = w.model.providers();
+  std::size_t e = 0;
+  for (auto _ : state) {
+    for (const auto& provider : providers) {
+      benchmark::DoNotOptimize(provider.router().sites().ranked(
+          w.exits[e], provider.config().routing.neighborhood_k + 1));
+    }
+    if (++e == w.exits.size()) e = 0;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(providers.size()));
+}
+BENCHMARK(BM_RankedPop);
 
 void BM_RngLognormal(benchmark::State& state) {
   Rng rng(6);

@@ -1,9 +1,6 @@
 #include "anycast/pop.h"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <vector>
 
 namespace dohperf::anycast {
 
@@ -20,33 +17,6 @@ Pop make_pop(const geo::City& city) {
   pop.position = city.position;
   pop.region = country->region;
   return pop;
-}
-
-std::size_t nearest_pop_index(std::span<const Pop> pops,
-                              const geo::LatLon& p) {
-  std::size_t best = 0;
-  double best_km = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < pops.size(); ++i) {
-    const double d = geo::distance_km(p, pops[i].position);
-    if (d < best_km) {
-      best_km = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::vector<std::size_t> pops_by_distance(std::span<const Pop> pops,
-                                          const geo::LatLon& p) {
-  std::vector<std::size_t> order(pops.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::vector<double> dist(pops.size());
-  for (std::size_t i = 0; i < pops.size(); ++i) {
-    dist[i] = geo::distance_km(p, pops[i].position);
-  }
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return dist[a] < dist[b]; });
-  return order;
 }
 
 }  // namespace dohperf::anycast

@@ -1,10 +1,8 @@
 // Points-of-presence for anycast DoH services.
 #pragma once
 
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "geo/cities.h"
 #include "geo/coordinates.h"
@@ -25,13 +23,5 @@ struct Pop {
 /// Builds a Pop from a city-table entry. The host country must exist in
 /// the world table (checked; throws std::invalid_argument otherwise).
 [[nodiscard]] Pop make_pop(const geo::City& city);
-
-/// Index of the PoP nearest to `p`; requires a non-empty span.
-[[nodiscard]] std::size_t nearest_pop_index(std::span<const Pop> pops,
-                                            const geo::LatLon& p);
-
-/// Indices of all PoPs ordered by increasing distance from `p`.
-[[nodiscard]] std::vector<std::size_t> pops_by_distance(
-    std::span<const Pop> pops, const geo::LatLon& p);
 
 }  // namespace dohperf::anycast

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "geo/country.h"
 
@@ -11,6 +12,13 @@ namespace dohperf::anycast {
 namespace {
 
 constexpr std::size_t kRegionCount = 11;
+
+std::vector<geo::LatLon> positions(std::span<const Pop> pops) {
+  std::vector<geo::LatLon> out;
+  out.reserve(pops.size());
+  for (const Pop& pop : pops) out.push_back(pop.position);
+  return out;
+}
 
 }  // namespace
 
@@ -38,14 +46,21 @@ geo::LatLon region_centroid(geo::Region region) {
 }
 
 AnycastRouter::AnycastRouter(std::span<const Pop> pops, RoutingParams params)
-    : pops_(pops), params_(params) {
+    : pops_(pops), params_(params), sites_(positions(pops)) {
   assert(!pops.empty());
   assert(params_.p_global() >= -1e-9);
+  if (detour_k() + 1 > geo::NearestIndex::kMaxRanked) {
+    throw std::invalid_argument("neighborhood_k exceeds the ranked limit");
+  }
   hub_by_region_.resize(kRegionCount);
   for (std::size_t r = 0; r < kRegionCount; ++r) {
     const auto centroid = region_centroid(static_cast<geo::Region>(r));
-    hub_by_region_[r] = nearest_pop_index(pops_, centroid);
+    hub_by_region_[r] = sites_.nearest(centroid).index;
   }
+}
+
+std::size_t AnycastRouter::detour_k() const {
+  return std::min(params_.neighborhood_k, pops_.size() - 1);
 }
 
 std::size_t AnycastRouter::region_hub(geo::Region region) const {
@@ -62,13 +77,11 @@ std::size_t AnycastRouter::select(const geo::LatLon& where,
   if (u < params_.p_nearest + params_.p_neighborhood) {
     // A "detour": uniformly one of the k nearest *non-optimal* PoPs
     // (BGP prefers a peer one metro over).
-    const std::size_t k =
-        std::min(params_.neighborhood_k, pops_.size() - 1);
+    const std::size_t k = detour_k();
     if (k == 0) return nearest(where);
-    const auto order = pops_by_distance(pops_, where);
     const auto pick = 1 + static_cast<std::size_t>(rng.uniform_int(
                               0, static_cast<std::int64_t>(k) - 1));
-    return order[pick];
+    return sites_.ranked(where, k + 1)[pick].index;
   }
 
   if (u < params_.p_nearest + params_.p_neighborhood + params_.p_region_hub) {

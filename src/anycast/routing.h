@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "anycast/pop.h"
+#include "geo/nearest.h"
 #include "netsim/random.h"
 
 namespace dohperf::anycast {
@@ -37,8 +38,11 @@ struct RoutingParams {
 /// Stateless selection engine over a fixed catalog.
 class AnycastRouter {
  public:
-  /// Precomputes regional hubs (the catalog PoP nearest to each region's
-  /// population centroid). `pops` must stay alive and unchanged.
+  /// Builds the catalog's nearest-site index and precomputes regional
+  /// hubs (the catalog PoP nearest to each region's population
+  /// centroid). `pops` must stay alive and unchanged. Throws
+  /// std::invalid_argument when a detour would rank more PoPs than
+  /// geo::NearestIndex::kMaxRanked.
   AnycastRouter(std::span<const Pop> pops, RoutingParams params);
 
   /// Selects the PoP index serving a client at `where` in `region`.
@@ -48,17 +52,23 @@ class AnycastRouter {
 
   /// Exact-nearest index (used for "potential improvement" analysis).
   [[nodiscard]] std::size_t nearest(const geo::LatLon& where) const {
-    return nearest_pop_index(pops_, where);
+    return sites_.nearest(where).index;
   }
 
   [[nodiscard]] const RoutingParams& params() const { return params_; }
   [[nodiscard]] std::span<const Pop> pops() const { return pops_; }
+  /// Nearest-site index over the PoP positions, in catalog order.
+  [[nodiscard]] const geo::NearestIndex& sites() const { return sites_; }
   /// The hub PoP index for `region`.
   [[nodiscard]] std::size_t region_hub(geo::Region region) const;
 
  private:
+  /// Detour draws: ranks 1..k of `sites_`, with k clamped to the catalog.
+  [[nodiscard]] std::size_t detour_k() const;
+
   std::span<const Pop> pops_;
   RoutingParams params_;
+  geo::NearestIndex sites_;
   std::vector<std::size_t> hub_by_region_;
 };
 

@@ -295,17 +295,14 @@ ExitState make_exit_state(ShardView& view, const CampaignPlan& plan,
     st.provider_failed.push_back(
         failure_rng.bernoulli(plan.config.provider_failure_rate));
 
-    // Hoisted per-(exit, provider) nearest-PoP scan: the distance to the
-    // closest PoP *as geolocation sees it* (Figure 6's baseline) only
+    // Hoisted per-(exit, provider) nearest-PoP distance: the distance to
+    // the closest PoP *as geolocation sees it* (Figure 6's baseline) only
     // depends on the client's located position, so compute it once per
-    // campaign instead of once per provider per run.
-    double nearest = geo::distance_miles(task.located,
-                                         provider.pops().front().position);
-    for (const anycast::Pop& pop : provider.pops()) {
-      nearest = std::min(nearest,
-                         geo::distance_miles(task.located, pop.position));
-    }
-    st.nearest_located_miles.push_back(nearest);
+    // exit instead of once per provider per run. Scaling by kMilesPerKm
+    // is monotone under rounding, so this equals the minimum over
+    // geo::distance_miles.
+    st.nearest_located_miles.push_back(geo::km_to_miles(
+        provider.router().sites().nearest(task.located).km));
   }
   return st;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dns/wire.h"
+#include "netsim/path.h"
 #include "resolver/stub.h"
 #include "transport/http.h"
 #include "transport/tcp.h"
@@ -281,14 +282,14 @@ Task<WarmPathObservation> do53_warm_path(NetCtx& net,
       if (net.metrics != nullptr) ++net.metrics->counters.dns_queries;
       const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
       const dns::Message query = dns::Message::make_query(id, name);
-      const Site& site = params.resolver->site();
-      co_await net.hop(params.vantage, site,
-                       dns::wire_size(query) + transport::kUdpOverheadBytes);
-      co_await net.process_at(site, params.resolver->cache_hit_cost());
+      netsim::Path path(net, params.vantage, params.resolver->site());
+      path.set_framing(transport::kUdpOverheadBytes,
+                       transport::kUdpOverheadBytes);
+      co_await path.send(dns::wire_size(query));
+      co_await net.process_at(path.b(), params.resolver->cache_hit_cost());
       const dns::Message answer = cached_answer(
           query, name, remaining_ttl(ttl_s, look.age_s), look.rank);
-      co_await net.hop(site, params.vantage,
-                       dns::wire_size(answer) + transport::kUdpOverheadBytes);
+      co_await path.recv(dns::wire_size(answer));
       q.shared_hit = true;
       if (net.metrics != nullptr) ++net.metrics->counters.shared_cache_hits;
       stub_cache.insert(net.sim.now(), name, dns::RecordType::kA,

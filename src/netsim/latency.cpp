@@ -5,8 +5,7 @@
 
 namespace dohperf::netsim {
 
-double LatencyModel::expected_one_way_ms(const Site& a, const Site& b,
-                                         std::size_t bytes) const {
+double LatencyModel::propagation_ms(const Site& a, const Site& b) const {
   const double dist_km = geo::distance_km(a.position, b.position);
   // Paths inherit the worse indirectness of their two endpoints, softened
   // geometrically: a well-connected cloud PoP partially compensates for a
@@ -14,7 +13,12 @@ double LatencyModel::expected_one_way_ms(const Site& a, const Site& b,
   const double inflation =
       std::sqrt(std::max(1.0, a.route_inflation) *
                 std::max(1.0, b.route_inflation));
-  const double propagation_ms = dist_km / cfg_.km_per_ms * inflation;
+  return dist_km / cfg_.km_per_ms * inflation;
+}
+
+double LatencyModel::expected_one_way_ms(const Site& a, const Site& b,
+                                         double propagation_ms,
+                                         std::size_t bytes) const {
   const double serialization_ms =
       static_cast<double>(bytes) / 1024.0 * cfg_.per_kb_ms;
   const double total =
@@ -23,8 +27,9 @@ double LatencyModel::expected_one_way_ms(const Site& a, const Site& b,
 }
 
 Duration LatencyModel::one_way(const Site& a, const Site& b,
-                               std::size_t bytes, Rng& rng) const {
-  const double base = expected_one_way_ms(a, b, bytes);
+                               double propagation_ms, std::size_t bytes,
+                               Rng& rng) const {
+  const double base = expected_one_way_ms(a, b, propagation_ms, bytes);
   const double sigma = std::hypot(a.jitter_sigma, b.jitter_sigma);
   const double jittered = rng.lognormal_median(base, sigma);
   return from_ms(std::max(cfg_.min_one_way_ms, jittered));

@@ -49,13 +49,32 @@ class LatencyModel {
   LatencyModel() = default;
   explicit LatencyModel(LatencyConfig cfg) : cfg_(cfg) {}
 
+  /// Geodesic propagation delay between the sites in ms: distance over
+  /// signal speed, times the pair's blended route inflation. Bitwise
+  /// symmetric in (a, b) — distance_km is (sin is odd, the products
+  /// commute) and so is the inflation blend — so a Path computes it once
+  /// for both directions.
+  [[nodiscard]] double propagation_ms(const Site& a, const Site& b) const;
+
   /// Deterministic (jitter-free) one-way delay in ms.
   [[nodiscard]] double expected_one_way_ms(const Site& a, const Site& b,
+                                           std::size_t bytes) const {
+    return expected_one_way_ms(a, b, propagation_ms(a, b), bytes);
+  }
+  /// The same, given the pair's `propagation_ms(a, b)`.
+  [[nodiscard]] double expected_one_way_ms(const Site& a, const Site& b,
+                                           double propagation_ms,
                                            std::size_t bytes) const;
 
   /// Samples a one-way delay with jitter.
   [[nodiscard]] Duration one_way(const Site& a, const Site& b,
-                                 std::size_t bytes, Rng& rng) const;
+                                 std::size_t bytes, Rng& rng) const {
+    return one_way(a, b, propagation_ms(a, b), bytes, rng);
+  }
+  /// The same, given the pair's `propagation_ms(a, b)`.
+  [[nodiscard]] Duration one_way(const Site& a, const Site& b,
+                                 double propagation_ms, std::size_t bytes,
+                                 Rng& rng) const;
 
   /// Deterministic round-trip estimate (2x expected one-way, same bytes
   /// each direction).

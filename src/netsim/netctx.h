@@ -115,8 +115,15 @@ struct NetCtx {
 
   /// Simulates one message travelling a -> b; completes at arrival time.
   Task<void> hop(const Site& a, const Site& b, std::size_t bytes) {
+    return hop(a, b, latency.propagation_ms(a, b), bytes);
+  }
+
+  /// The same, given the pair's `latency.propagation_ms(a, b)` (a Path
+  /// computes it once for both directions).
+  Task<void> hop(const Site& a, const Site& b, double propagation_ms,
+                 std::size_t bytes) {
     const SimTime sent = sim.now();
-    co_await sim.sleep(latency.one_way(a, b, bytes, rng));
+    co_await sim.sleep(latency.one_way(a, b, propagation_ms, bytes, rng));
     if (metrics != nullptr) {
       ++metrics->counters.messages;
       metrics->counters.bytes_on_wire += bytes;

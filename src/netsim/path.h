@@ -1,9 +1,11 @@
 // A routed site pair: the layer-0 channel every connection rides on.
 //
 // Path owns the per-direction framing overhead (e.g. IP+UDP headers for
-// datagram exchanges) and delegates delivery, trace capture and the
+// datagram exchanges) and the pair's propagation term, computed once at
+// construction and used by both directions (LatencyModel::propagation_ms
+// is bitwise symmetric). It delegates delivery, trace capture and the
 // loss/retry state machine to its NetCtx, so flow code never sums header
-// bytes or calls NetCtx::hop by hand.
+// bytes, recomputes geometry or calls NetCtx::hop by hand.
 #pragma once
 
 #include "netsim/netctx.h"
@@ -13,7 +15,10 @@ namespace dohperf::netsim {
 class Path {
  public:
   Path(NetCtx& net, Site a, Site b)
-      : net_(&net), a_(std::move(a)), b_(std::move(b)) {}
+      : net_(&net),
+        a_(std::move(a)),
+        b_(std::move(b)),
+        propagation_ms_(net.latency.propagation_ms(a_, b_)) {}
 
   /// Per-message framing bytes added in each direction (default none).
   void set_framing(std::size_t forward_bytes, std::size_t backward_bytes) {
@@ -24,12 +29,14 @@ class Path {
   /// One message a -> b; completes at arrival (captured by the NetCtx's
   /// trace sink, if any).
   Task<void> send(std::size_t payload_bytes) const {
-    return net_->hop(a_, b_, payload_bytes + forward_framing_);
+    return net_->hop(a_, b_, propagation_ms_,
+                     payload_bytes + forward_framing_);
   }
 
   /// One message b -> a.
   Task<void> recv(std::size_t payload_bytes) const {
-    return net_->hop(b_, a_, payload_bytes + backward_framing_);
+    return net_->hop(b_, a_, propagation_ms_,
+                     payload_bytes + backward_framing_);
   }
 
   /// Runs the datagram retry state machine for one exchange on this
@@ -54,6 +61,7 @@ class Path {
   NetCtx* net_;
   Site a_;
   Site b_;
+  double propagation_ms_;
   std::size_t forward_framing_ = 0;
   std::size_t backward_framing_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "proxy/brightdata.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "geo/cities.h"
@@ -34,6 +33,7 @@ bool resolves_dns_at_super_proxy(std::string_view iso2) {
 
 BrightDataNetwork::BrightDataNetwork() {
   locations_.reserve(kSuperProxyCities.size());
+  std::vector<geo::LatLon> positions;
   for (const auto& [iso2, city_name] : kSuperProxyCities) {
     const geo::City* city = geo::find_city(city_name);
     if (city == nullptr) {
@@ -46,8 +46,10 @@ BrightDataNetwork::BrightDataNetwork() {
     loc.site.lastmile_ms = 0.5;      // datacenter-hosted
     loc.site.route_inflation = 1.1;  // well-peered
     loc.site.jitter_sigma = 0.05;
+    positions.push_back(loc.site.position);
     locations_.push_back(std::move(loc));
   }
+  sites_ = geo::NearestIndex(positions);
 }
 
 std::uint64_t BrightDataNetwork::enroll(ExitNode node) {
@@ -80,16 +82,7 @@ std::span<const std::uint64_t> BrightDataNetwork::exits_in(
 
 const SuperProxyLocation& BrightDataNetwork::nearest_super_proxy(
     const geo::LatLon& p) const {
-  const SuperProxyLocation* best = nullptr;
-  double best_km = std::numeric_limits<double>::infinity();
-  for (const auto& loc : locations_) {
-    const double d = geo::distance_km(p, loc.site.position);
-    if (d < best_km) {
-      best_km = d;
-      best = &loc;
-    }
-  }
-  return *best;
+  return locations_[sites_.nearest(p).index];
 }
 
 BrightDataNetwork::OverheadSample BrightDataNetwork::sample_overheads(

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "geo/nearest.h"
 #include "netsim/latency.h"
 #include "netsim/random.h"
 #include "proxy/exit_node.h"
@@ -75,6 +76,7 @@ class BrightDataNetwork {
 
  private:
   std::vector<SuperProxyLocation> locations_;
+  geo::NearestIndex sites_;  ///< Over locations_' positions, same order.
   std::vector<ExitNode> exits_;
   std::unordered_map<std::string, std::vector<std::uint64_t>> by_country_;
 };

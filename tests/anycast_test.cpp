@@ -2,12 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <numbers>
 #include <set>
+#include <span>
+#include <utility>
 
 #include "anycast/catalog.h"
 #include "anycast/provider.h"
 #include "anycast/routing.h"
+#include "geo/nearest.h"
+#include "proxy/brightdata.h"
 
 namespace dohperf::anycast {
 namespace {
@@ -63,6 +70,20 @@ TEST(CatalogTest, NoDuplicateCitiesWithinCatalog) {
   }
 }
 
+TEST(CatalogTest, CatalogsHaveNoDuplicatePopPositions) {
+  // Distinct positions make every detour order unique up to exact km
+  // ties, which the nearest-site search breaks by catalog index.
+  for (const auto& pops : {cloudflare_pops(), google_pops(), nextdns_pops(),
+                           quad9_pops()}) {
+    std::set<std::pair<double, double>> positions;
+    for (const Pop& pop : pops) {
+      EXPECT_TRUE(
+          positions.emplace(pop.position.lat, pop.position.lon).second)
+          << "dup position " << pop.city;
+    }
+  }
+}
+
 TEST(CatalogTest, PopsForByName) {
   EXPECT_EQ(pops_for("Cloudflare").size(), kCloudflarePopCount);
   EXPECT_EQ(pops_for("Quad9").size(), kQuad9PopCount);
@@ -76,20 +97,254 @@ TEST(PopTest, MakePopValidatesCountry) {
 
 TEST(PopTest, NearestIndexFindsGeographicOptimum) {
   const auto pops = google_pops();
+  const AnycastRouter router(pops, RoutingParams{});
   // A client in Manhattan should map to the New York PoP.
-  const auto idx = nearest_pop_index(pops, {40.75, -73.99});
-  EXPECT_EQ(pops[idx].city, "New York");
+  const geo::LatLon client{40.75, -73.99};
+  const auto hit = router.sites().nearest(client);
+  EXPECT_EQ(pops[hit.index].city, "New York");
+  EXPECT_EQ(router.nearest(client), hit.index);
+  EXPECT_EQ(hit.km, geo::distance_km(client, pops[hit.index].position));
 }
 
 TEST(PopTest, PopsByDistanceIsSorted) {
   const auto pops = cloudflare_pops();
+  const AnycastRouter router(pops, RoutingParams{});
   const geo::LatLon client{48.86, 2.35};
-  const auto order = pops_by_distance(pops, client);
-  ASSERT_EQ(order.size(), pops.size());
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(geo::distance_km(client, pops[order[i - 1]].position),
-              geo::distance_km(client, pops[order[i]].position));
+  constexpr std::size_t kN = geo::NearestIndex::kMaxRanked;
+  const auto order = router.sites().ranked(client, kN);
+  ASSERT_EQ(order.size, kN);
+  std::set<std::size_t> ranked;
+  for (std::size_t i = 0; i < order.size; ++i) {
+    EXPECT_EQ(order[i].km,
+              geo::distance_km(client, pops[order[i].index].position));
+    if (i > 0) {
+      EXPECT_LE(order[i - 1].km, order[i].km);
+    }
+    ranked.insert(order[i].index);
   }
+  // Every PoP left out of the prefix is at least as far as its last entry.
+  for (std::size_t i = 0; i < pops.size(); ++i) {
+    if (ranked.count(i) != 0) continue;
+    EXPECT_GE(geo::distance_km(client, pops[i].position),
+              order[kN - 1].km);
+  }
+}
+
+// --- Nearest-site search vs the brute-force haversine scan -------------
+
+/// One point set the campaign searches, with the deepest ranking it asks
+/// for.
+struct SiteSet {
+  std::string name;
+  std::vector<geo::LatLon> points;
+  std::size_t max_ranked = 1;
+};
+
+/// The catalog of `name` (a studied provider, or "SuperProxies").
+SiteSet site_set(const std::string& name) {
+  SiteSet set{name, {}, geo::NearestIndex::kMaxRanked};
+  if (name == "SuperProxies") {
+    for (const auto& loc : proxy::BrightDataNetwork().super_proxies()) {
+      set.points.push_back(loc.site.position);
+    }
+    return set;
+  }
+  for (const Provider& provider : studied_providers()) {
+    if (provider.name() != name) continue;
+    set.max_ranked = provider.config().routing.neighborhood_k + 1;
+    for (const Pop& pop : provider.pops()) set.points.push_back(pop.position);
+  }
+  return set;
+}
+
+/// The reference: the brute-force scan (distance_km(p, point) for every
+/// point, strict `<` in index order) and the (km, index) order of all
+/// points.
+::testing::AssertionResult matches_brute_force(
+    const geo::NearestIndex& index, std::span<const geo::LatLon> points,
+    const geo::LatLon& p, std::size_t max_ranked) {
+  std::size_t best = 0;
+  double best_km = std::numeric_limits<double>::infinity();
+  std::array<geo::NearestIndex::Hit, 256> order;
+  if (points.size() > order.size()) {
+    return ::testing::AssertionFailure() << "too many points";
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const double d = geo::distance_km(p, points[i]);
+    if (d < best_km) {
+      best_km = d;
+      best = i;
+    }
+    order[i] = {i, d};
+  }
+  const std::size_t depth = std::min(max_ranked, points.size());
+  std::partial_sort(order.begin(), order.begin() + depth,
+                    order.begin() + points.size(),
+                    [](const auto& a, const auto& b) {
+                      return a.km < b.km || (a.km == b.km && a.index < b.index);
+                    });
+
+  const geo::NearestIndex::Hit hit = index.nearest(p);
+  if (hit.index != best || hit.km != best_km) {
+    return ::testing::AssertionFailure()
+           << "nearest at " << p << ": got " << hit.index << " @ " << hit.km
+           << " km, brute force " << best << " @ " << best_km << " km";
+  }
+  for (std::size_t n = 1; n <= max_ranked; ++n) {
+    const auto ranked = index.ranked(p, n);
+    if (ranked.size != std::min(n, points.size())) {
+      return ::testing::AssertionFailure()
+             << "ranked(" << n << ") at " << p << " has " << ranked.size;
+    }
+    for (std::size_t r = 0; r < ranked.size; ++r) {
+      if (ranked[r].index != order[r].index || ranked[r].km != order[r].km) {
+        return ::testing::AssertionFailure()
+               << "ranked(" << n << ")[" << r << "] at " << p << ": got "
+               << ranked[r].index << " @ " << ranked[r].km
+               << " km, brute force " << order[r].index << " @ "
+               << order[r].km << " km";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Uniform on the sphere.
+geo::LatLon random_point(netsim::Rng& rng) {
+  return {std::asin(rng.uniform(-1.0, 1.0)) * 180.0 / std::numbers::pi,
+          rng.uniform(-180.0, 180.0)};
+}
+
+/// Poles, both sides of the ±180° meridian, every site and its antipode,
+/// and the great-circle midpoint of every site pair (a near-tie).
+std::vector<geo::LatLon> adversarial_points(
+    std::span<const geo::LatLon> sites) {
+  std::vector<geo::LatLon> out{{90.0, 0.0}, {-90.0, 0.0}, {90.0, 180.0},
+                               {-90.0, -180.0}};
+  const double just_inside = std::nextafter(180.0, 0.0);
+  for (double lat = -89.5; lat <= 89.5; lat += 0.5) {
+    for (const double lon : {180.0, -180.0, just_inside, -just_inside}) {
+      out.push_back({lat, lon});
+    }
+  }
+  constexpr double kRad = std::numbers::pi / 180.0;
+  const auto unit = [&](const geo::LatLon& p) {
+    return std::array<double, 3>{std::cos(p.lat * kRad) * std::cos(p.lon * kRad),
+                                 std::cos(p.lat * kRad) * std::sin(p.lon * kRad),
+                                 std::sin(p.lat * kRad)};
+  };
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const geo::LatLon& s = sites[i];
+    out.push_back(s);
+    out.push_back({-s.lat, s.lon > 0.0 ? s.lon - 180.0 : s.lon + 180.0});
+    for (std::size_t j = i + 1; j < sites.size(); ++j) {
+      const auto a = unit(s);
+      const auto b = unit(sites[j]);
+      const double x = a[0] + b[0], y = a[1] + b[1], z = a[2] + b[2];
+      if (std::hypot(x, y, z) < 1e-9) continue;  // antipodal pair
+      out.push_back({std::atan2(z, std::hypot(x, y)) / kRad,
+                     std::atan2(y, x) / kRad});
+    }
+  }
+  return out;
+}
+
+class NearestSiteOracleSweep : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(NearestSiteOracleSweep, MatchesBruteForceOnRandomAndAdversarialPoints) {
+  constexpr int kRandomPoints = 100'000;
+  const SiteSet set = site_set(GetParam());
+  ASSERT_FALSE(set.points.empty());
+  const geo::NearestIndex index(set.points);
+  netsim::Rng rng = netsim::Rng(20211102).split(set.name);
+  int failures = 0;
+  for (int i = 0; i < kRandomPoints && failures < 5; ++i) {
+    const auto ok = matches_brute_force(index, set.points, random_point(rng),
+                                        set.max_ranked);
+    EXPECT_TRUE(ok);
+    failures += !ok;
+  }
+  for (const geo::LatLon& p : adversarial_points(set.points)) {
+    if (failures >= 5) break;
+    const auto ok = matches_brute_force(index, set.points, p, set.max_ranked);
+    EXPECT_TRUE(ok);
+    failures += !ok;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Catalogs, NearestSiteOracleSweep,
+                         ::testing::Values("Cloudflare", "Google", "NextDNS",
+                                           "Quad9", "SuperProxies"),
+                         [](const auto& info) { return info.param; });
+
+TEST(NearestSiteOracleTest, ShippedIndexesMatchBruteForce) {
+  // The providers' own router indexes and the Super Proxy assignment,
+  // not just freshly built ones.
+  netsim::Rng rng(77);
+  for (const Provider& provider : studied_providers()) {
+    SCOPED_TRACE(provider.name());
+    std::vector<geo::LatLon> points;
+    for (const Pop& pop : provider.pops()) points.push_back(pop.position);
+    const std::size_t k = provider.config().routing.neighborhood_k + 1;
+    for (int i = 0; i < 5'000; ++i) {
+      const geo::LatLon p = random_point(rng);
+      ASSERT_TRUE(
+          matches_brute_force(provider.router().sites(), points, p, k));
+      ASSERT_EQ(provider.nearest(p), provider.router().sites().nearest(p).index);
+    }
+  }
+  const proxy::BrightDataNetwork network;
+  const auto proxies = network.super_proxies();
+  for (int i = 0; i < 20'000; ++i) {
+    const geo::LatLon p = random_point(rng);
+    std::size_t best = 0;
+    double best_km = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < proxies.size(); ++j) {
+      const double d = geo::distance_km(p, proxies[j].site.position);
+      if (d < best_km) {
+        best_km = d;
+        best = j;
+      }
+    }
+    ASSERT_EQ(&network.nearest_super_proxy(p), &proxies[best]) << p;
+  }
+}
+
+TEST(NearestSiteOracleTest, RankingBreaksExactTiesByIndex) {
+  // Two copies of one position and a point equidistant from two sites
+  // on the equator: equal km, so index order decides.
+  const std::vector<geo::LatLon> points{
+      {0.0, 10.0}, {0.0, -10.0}, {0.0, 10.0}, {45.0, 0.0}};
+  const geo::NearestIndex index(points);
+  const geo::LatLon origin{0.0, 0.0};
+  EXPECT_EQ(geo::distance_km(origin, points[0]),
+            geo::distance_km(origin, points[1]));
+  EXPECT_EQ(index.nearest(origin).index, 0u);
+  const auto ranked = index.ranked(origin, 4);
+  ASSERT_EQ(ranked.size, 4u);
+  EXPECT_EQ(ranked[0].index, 0u);
+  EXPECT_EQ(ranked[1].index, 1u);
+  EXPECT_EQ(ranked[2].index, 2u);
+  EXPECT_EQ(ranked[3].index, 3u);
+  EXPECT_TRUE(matches_brute_force(index, points, origin, 4));
+  EXPECT_TRUE(matches_brute_force(index, points, points[2], 4));
+}
+
+TEST(NearestSiteOracleTest, RankingIsClampedToThePointCount) {
+  const std::vector<geo::LatLon> points{{10.0, 10.0}, {20.0, 20.0}};
+  const geo::NearestIndex index(points);
+  const auto ranked = index.ranked({15.0, 14.0}, geo::NearestIndex::kMaxRanked);
+  ASSERT_EQ(ranked.size, 2u);
+  EXPECT_EQ(index.ranked({15.0, 14.0}, 0).size, 0u);
+}
+
+TEST(RouterTest, RejectsNeighborhoodsDeeperThanTheRankingLimit) {
+  const auto pops = cloudflare_pops();
+  RoutingParams params;
+  params.neighborhood_k = geo::NearestIndex::kMaxRanked;
+  EXPECT_THROW(AnycastRouter(pops, params), std::invalid_argument);
+  params.neighborhood_k = geo::NearestIndex::kMaxRanked - 1;
+  EXPECT_NO_THROW(AnycastRouter(pops, params));
 }
 
 TEST(RouterTest, PureNearestPolicyIsOptimal) {

@@ -132,6 +132,26 @@ TEST(DeterminismTest, RepeatedShardedRunsAreIdentical) {
   expect_identical(run_with_shards(3), run_with_shards(3));
 }
 
+// Bit-identity is a property of the engine, not of seed 99: a sweep of
+// small worlds, each run serially and at 3 shards. expect_identical
+// covers the routed PoP, its distance and the Figure-6 baseline.
+TEST(DeterminismTest, SeedSweepBitIdenticalAcrossShardCounts) {
+  for (const std::uint64_t seed : {1u, 7u, 42u, 123u, 2021u, 31337u}) {
+    SCOPED_TRACE(seed);
+    const auto run = [seed](int shards) {
+      world::WorldConfig config;
+      config.seed = seed;
+      config.client_scale = 0.02;
+      world::WorldModel world(config);
+      Campaign campaign(world, campaign_config(1));
+      return campaign.run(shards);
+    };
+    const Dataset serial = run(0);
+    EXPECT_FALSE(serial.doh().empty());
+    expect_identical(run(3), serial);
+  }
+}
+
 TEST(DeterminismTest, SerialPathReportsOneShard) {
   auto world = fresh_world();
   Campaign campaign(*world, campaign_config(1));

@@ -12,6 +12,7 @@
 #include "netsim/event_queue.h"
 #include "netsim/latency.h"
 #include "netsim/netctx.h"
+#include "netsim/path.h"
 #include "netsim/random.h"
 #include "netsim/simulator.h"
 #include "netsim/task.h"
@@ -409,10 +410,80 @@ TEST(LatencyTest, SymmetricExpectedDelay) {
   LatencyModel model;
   Site a{{5, 5}, 2.0, 1.3, 0.0};
   Site b{{-5, 40}, 7.0, 2.0, 0.0};
-  EXPECT_DOUBLE_EQ(model.expected_one_way_ms(a, b, 64),
-                   model.expected_one_way_ms(b, a, 64));
+  EXPECT_EQ(model.expected_one_way_ms(a, b, 64),
+            model.expected_one_way_ms(b, a, 64));
   EXPECT_DOUBLE_EQ(model.expected_rtt_ms(a, b),
                    2.0 * model.expected_one_way_ms(a, b, 64));
+}
+
+TEST(LatencyTest, DistanceAndPropagationAreBitwiseSymmetric) {
+  // A Path computes its pair's propagation term once and reuses it in
+  // both directions; that is exact only because both are symmetric to
+  // the last bit.
+  LatencyModel model;
+  Rng rng(4242);
+  const auto random_site = [&] {
+    return Site{{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)},
+                1.0,
+                rng.uniform(0.5, 4.0),
+                0.0};
+  };
+  for (int i = 0; i < 100'000; ++i) {
+    const Site a = random_site();
+    const Site b = random_site();
+    ASSERT_EQ(geo::distance_km(a.position, b.position),
+              geo::distance_km(b.position, a.position))
+        << a.position << " " << b.position;
+    ASSERT_EQ(model.propagation_ms(a, b), model.propagation_ms(b, a))
+        << a.position << " " << b.position;
+  }
+}
+
+TEST(PathTest, SendAndRecvDrawTheSameDelaysAsOneWay) {
+  LatencyModel model;
+  Rng sites(99);
+  const auto random_site = [&] {
+    return Site{{sites.uniform(-90.0, 90.0), sites.uniform(-180.0, 180.0)},
+                sites.uniform(0.0, 10.0),
+                sites.uniform(1.0, 3.0),
+                sites.uniform(0.0, 0.2)};
+  };
+  constexpr std::size_t kForward = 28;
+  constexpr std::size_t kBackward = 40;
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    const Site a = random_site();
+    const Site b = random_site();
+    Simulator sim;
+    Rng rng(1000 + trial);
+    NetCtx net{sim, model, rng};
+    Path path(net, a, b);
+    path.set_framing(kForward, kBackward);
+
+    std::vector<Duration> hops;
+    auto flow = [&]() -> Task<void> {
+      for (const std::size_t bytes : {0u, 64u, 1500u}) {
+        SimTime sent = sim.now();
+        co_await path.send(bytes);
+        hops.push_back(sim.now() - sent);
+        sent = sim.now();
+        co_await path.recv(2 * bytes);
+        hops.push_back(sim.now() - sent);
+      }
+    };
+    auto task = flow();
+    sim.run();
+    ASSERT_TRUE(task.done());
+
+    // The same draws from an identically seeded RNG, through the
+    // un-memoized one_way in each direction.
+    Rng reference(1000 + trial);
+    std::size_t k = 0;
+    for (const std::size_t bytes : {0u, 64u, 1500u}) {
+      EXPECT_EQ(hops[k++], model.one_way(a, b, bytes + kForward, reference));
+      EXPECT_EQ(hops[k++],
+                model.one_way(b, a, 2 * bytes + kBackward, reference));
+    }
+  }
 }
 
 TEST(NetCtxTest, RoundTripMeasuresBothHops) {
