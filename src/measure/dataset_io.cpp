@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -47,14 +48,17 @@ double parse_double(const std::string& s, const char* context) {
   }
 }
 
-std::uint64_t parse_u64(const std::string& s, const char* context) {
+/// A decimal unsigned integer that `Int` can hold.
+template <class Int = std::uint64_t>
+Int parse_uint(const std::string& s, const char* context) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
+  if (ec != std::errc() || ptr != s.data() + s.size() ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<Int>::max())) {
     throw std::runtime_error(std::string("dataset_io: bad integer in ") +
                              context + ": \"" + s + "\"");
   }
-  return v;
+  return static_cast<Int>(v);
 }
 
 std::ofstream open_out(const fs::path& path) {
@@ -145,7 +149,7 @@ Dataset load_dataset(const std::string& directory) {
         throw std::runtime_error("dataset_io: bad row in clients.csv");
       }
       ClientInfo info;
-      info.exit_id = parse_u64(f[0], "clients.csv");
+      info.exit_id = parse_uint(f[0], "clients.csv");
       info.iso2 = f[1];
       info.position.lat = parse_double(f[2], "clients.csv");
       info.position.lon = parse_double(f[3], "clients.csv");
@@ -166,12 +170,11 @@ Dataset load_dataset(const std::string& directory) {
         throw std::runtime_error("dataset_io: bad row in doh.csv");
       }
       DohRecord rec;
-      rec.exit_id = parse_u64(f[0], "doh.csv");
+      rec.exit_id = parse_uint(f[0], "doh.csv");
       rec.iso2 = dataset.intern(f[1]);
       rec.provider = dataset.intern(f[2]);
-      rec.run = static_cast<int>(parse_u64(f[3], "doh.csv"));
-      rec.pop_index =
-          static_cast<std::uint32_t>(parse_u64(f[4], "doh.csv"));
+      rec.run = parse_uint<std::int32_t>(f[3], "doh.csv");
+      rec.pop_index = parse_uint<std::uint32_t>(f[4], "doh.csv");
       rec.pop_distance_miles = parse_double(f[5], "doh.csv");
       rec.potential_improvement_miles = parse_double(f[6], "doh.csv");
       rec.tdoh_ms = parse_double(f[7], "doh.csv");
@@ -189,9 +192,12 @@ Dataset load_dataset(const std::string& directory) {
         throw std::runtime_error("dataset_io: bad row in do53.csv");
       }
       Do53Record rec;
-      rec.exit_id = parse_u64(f[0], "do53.csv");
+      rec.exit_id = parse_uint(f[0], "do53.csv");
       rec.iso2 = dataset.intern(f[1]);
-      rec.run = static_cast<int>(parse_u64(f[2], "do53.csv"));
+      rec.run = parse_uint<std::int32_t>(f[2], "do53.csv");
+      if (f[3] != "0" && f[3] != "1") {
+        throw std::runtime_error("dataset_io: bad via_atlas in do53.csv");
+      }
       rec.via_atlas = f[3] == "1";
       rec.do53_ms = parse_double(f[4], "do53.csv");
       dataset.add_do53(rec);
@@ -200,13 +206,20 @@ Dataset load_dataset(const std::string& directory) {
   {
     auto in = open_in(dir / "meta.csv");
     expect_header(in, "discarded_mismatch,failed_measurements", "meta.csv");
-    if (std::getline(in, line) && !line.empty()) {
-      const auto f = split(line);
-      if (f.size() != 2) {
-        throw std::runtime_error("dataset_io: bad row in meta.csv");
+    // Exactly one data row: a second one would be silently dropped.
+    if (!std::getline(in, line)) {
+      throw std::runtime_error("dataset_io: missing row in meta.csv");
+    }
+    const auto f = split(line);
+    if (f.size() != 2) {
+      throw std::runtime_error("dataset_io: bad row in meta.csv");
+    }
+    dataset.discarded_mismatch = parse_uint(f[0], "meta.csv");
+    dataset.failed_measurements = parse_uint(f[1], "meta.csv");
+    while (std::getline(in, line)) {
+      if (!line.empty()) {
+        throw std::runtime_error("dataset_io: extra row in meta.csv");
       }
-      dataset.discarded_mismatch = parse_u64(f[0], "meta.csv");
-      dataset.failed_measurements = parse_u64(f[1], "meta.csv");
     }
   }
   return dataset;

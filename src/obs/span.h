@@ -6,9 +6,14 @@
 // Tunnel, and the measurement flows on top — opens a named span whose
 // start/end are *sim-time* points, so a trace explains where simulated
 // time goes, not where host CPU went. Spans strictly nest: a span opened
-// while another is open becomes its child, and the innermost open span
-// labels every hop captured beneath it (the "which layer sent this?"
-// question the flat TraceEvent list could not answer).
+// while another is open becomes its child, and every hop is captured as a
+// leaf under the innermost open span, so its parent answers "which layer
+// sent this?".
+//
+// This is the simulator's one packet capture (the paper's exit-node
+// "Wireshark" validation, Section 4.3): hop_view() lists every hop leaf
+// with its send/arrival times, endpoint positions and byte count, in
+// capture order. `ddig --trace 1` prints it.
 //
 // Recording is pure observation: it never consumes RNG draws, schedules
 // events, or advances the clock, so enabling tracing cannot perturb a
@@ -33,8 +38,8 @@ using SpanId = std::uint32_t;
 inline constexpr SpanId kNoSpan = 0xFFFFFFFFu;
 
 /// One node of the span tree. Hop spans (`hop == true`) are leaves that
-/// carry the wire-level detail the old TraceEvent captured: byte count
-/// and the two site positions.
+/// carry the wire-level detail of one message: byte count and the two
+/// site positions, with `start`/`end` its send and arrival times.
 struct Span {
   SpanId id = 0;
   SpanId parent = kNoSpan;
@@ -73,15 +78,15 @@ class SpanContext {
   [[nodiscard]] SpanId current() const {
     return stack_.empty() ? kNoSpan : stack_.back();
   }
-  /// Name of the innermost open span ("" when none) — hop labels.
-  [[nodiscard]] const std::string& current_name() const;
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
   /// Number of spans opened but not yet closed.
   [[nodiscard]] std::size_t open_count() const { return stack_.size(); }
   [[nodiscard]] bool empty() const { return spans_.empty(); }
 
-  /// The old flat hop view: every hop leaf, in capture order.
+  /// The flat hop view (the packet capture): every hop leaf, in capture
+  /// order. A hop's `parent` is the span that sent it (kNoSpan when none
+  /// was open).
   [[nodiscard]] std::vector<const Span*> hop_view() const;
 
   void clear();

@@ -141,5 +141,47 @@ TEST(DatasetIoTest, ShortRowThrows) {
   fs::remove_all(dir);
 }
 
+// Each case below is a value an unchecked narrowing or a lax comparison
+// would silently turn into a different dataset.
+
+TEST(DatasetIoTest, RunBeyondIntRangeThrows) {
+  const std::string dir = temp_dir("dohperf_io_bigrun");
+  save_dataset(sample_dataset(), dir);
+  std::ofstream(fs::path(dir) / "doh.csv")
+      << "exit_id,iso2,provider,run,pop_index,pop_distance_miles,"
+         "potential_improvement_miles,tdoh_ms,tdohr_ms\n"
+         "17,SE,Cloudflare,4294967297,42,1,0,300,200\n";
+  EXPECT_THROW((void)load_dataset(dir), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(DatasetIoTest, PopIndexBeyondUint32RangeThrows) {
+  const std::string dir = temp_dir("dohperf_io_bigpop");
+  save_dataset(sample_dataset(), dir);
+  std::ofstream(fs::path(dir) / "doh.csv")
+      << "exit_id,iso2,provider,run,pop_index,pop_distance_miles,"
+         "potential_improvement_miles,tdoh_ms,tdohr_ms\n"
+         "17,SE,Cloudflare,1,4294967338,1,0,300,200\n";
+  EXPECT_THROW((void)load_dataset(dir), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(DatasetIoTest, ViaAtlasOtherThanZeroOrOneThrows) {
+  const std::string dir = temp_dir("dohperf_io_badflag");
+  save_dataset(sample_dataset(), dir);
+  std::ofstream(fs::path(dir) / "do53.csv")
+      << "exit_id,iso2,run,via_atlas,do53_ms\n17,SE,0,true,234.25\n";
+  EXPECT_THROW((void)load_dataset(dir), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(DatasetIoTest, ExtraMetaRowThrows) {
+  const std::string dir = temp_dir("dohperf_io_extrameta");
+  save_dataset(sample_dataset(), dir);
+  std::ofstream(fs::path(dir) / "meta.csv", std::ios::app) << "5,7\n";
+  EXPECT_THROW((void)load_dataset(dir), std::runtime_error);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace dohperf::measure

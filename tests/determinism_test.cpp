@@ -19,10 +19,13 @@
 #include "obs/metrics.h"
 #include "obs/series.h"
 #include "obs/slo.h"
+#include "report/anomalies.h"
 #include "report/attribution.h"
 #include "report/csv.h"
+#include "report/metrics.h"
 #include "report/slo.h"
 #include "report/table.h"
+#include "report/timeseries.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "stats/cdf.h"
@@ -708,6 +711,67 @@ TEST(DeterminismTest, ShardProfilesReportArenaActivity) {
     EXPECT_GT(p.arena.reused, p.arena.allocations / 2) << p.shard;
     // By the final drain every frame was returned.
     EXPECT_EQ(p.arena.live_bytes, 0u) << p.shard;
+  }
+}
+
+// --- Batch-size invariance -------------------------------------------
+// Sessions are independent by construction (a private RNG substream per
+// slot, epoch-relative series windows and fault episodes), so how many
+// run concurrently in one shard simulator must not matter: a campaign
+// run one session at a time produces the same dataset and the same
+// rendered stores as the default in-flight window. Faults, the warm
+// path and an anomaly ring large enough to keep every anomaly make the
+// replay pass and the retry machines part of the comparison.
+TEST(DeterminismTest, OutputsBatchSizeInvariant) {
+  struct Outputs {
+    Dataset data;
+    obs::FlightRecorder anomalies;
+    std::string metrics;
+    std::string series;
+    std::string attribution;
+    std::string availability;
+    std::string anomaly_index;
+  };
+  for (const std::uint64_t seed : {7u, 42u, 2021u}) {
+    SCOPED_TRACE(seed);
+    const auto run = [seed](std::size_t batch_size) {
+      world::WorldConfig world_config;
+      world_config.seed = seed;
+      world_config.client_scale = 0.02;
+      world::WorldModel world(world_config);
+      CampaignConfig config = obs_fault_config(1);
+      config.cache = warm_config(1).cache;
+      config.reuse = warm_config(1).reuse;
+      config.anomalies.ring_capacity = 1'000'000;
+      config.batch_size = batch_size;
+      Campaign campaign(world, config);
+      Dataset data = campaign.run();
+      const ObsStores& stores = campaign.stores();
+      return Outputs{std::move(data),
+                     stores.anomalies,
+                     report::metrics_csv(stores.metrics).str(),
+                     report::timeseries_csv(stores.series).str(),
+                     report::attribution_csv(stores.attribution).str(),
+                     report::availability_csv(stores.slo).str(),
+                     report::anomaly_index_csv(stores.anomalies).str()};
+    };
+    const Outputs batched = run(CampaignConfig{}.batch_size);
+    const Outputs one_at_a_time = run(1);
+
+    // Every feature ran, and the ring kept every anomaly it saw.
+    EXPECT_FALSE(batched.data.doh().empty());
+    EXPECT_GT(batched.anomalies.counts().anomalous, 0u);
+    EXPECT_EQ(batched.anomalies.retained().size(),
+              batched.anomalies.counts().anomalous);
+    EXPECT_NE(batched.series.find("doh_warm_ms"), std::string::npos);
+
+    expect_identical(one_at_a_time.data, batched.data);
+    EXPECT_TRUE(one_at_a_time.anomalies == batched.anomalies);
+    EXPECT_EQ(one_at_a_time.metrics, batched.metrics);
+    EXPECT_EQ(one_at_a_time.series, batched.series);
+    EXPECT_EQ(one_at_a_time.attribution, batched.attribution);
+    EXPECT_EQ(one_at_a_time.availability, batched.availability);
+    EXPECT_EQ(one_at_a_time.anomaly_index, batched.anomaly_index);
   }
 }
 

@@ -3,11 +3,16 @@
 // hang, or read out of bounds.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dns/errors.h"
 #include "dns/wire.h"
+#include "measure/dataset_io.h"
 #include "netsim/random.h"
 #include "obs/json.h"
 #include "obs/trace_load.h"
@@ -185,6 +190,70 @@ TEST_P(FuzzSweep, TraceLoaderNeverCrashesAndNeverReturnsPartialSpans) {
     // Strict contract: either spans or a diagnostic, never both/neither.
     EXPECT_NE(result.spans.empty(), result.error.empty());
   }
+}
+
+TEST_P(FuzzSweep, DatasetLoaderLoadsOrThrowsOnMangledFiles) {
+  // A small saved dataset whose files are mangled one at a time:
+  // bytes overwritten, truncated, or duplicated lines. The loader must
+  // either load or throw std::runtime_error, never crash.
+  namespace fs = std::filesystem;
+  measure::Dataset data;
+  measure::ClientInfo info;
+  info.exit_id = 17;
+  info.iso2 = "SE";
+  info.position = {59.33, 18.07};
+  data.add_client(info);
+  measure::DohRecord doh;
+  doh.exit_id = 17;
+  doh.iso2 = data.intern("SE");
+  doh.provider = data.intern("Quad9");
+  doh.run = 1;
+  doh.pop_index = 3;
+  doh.tdoh_ms = 338.5;
+  data.add_doh(doh);
+  measure::Do53Record do53;
+  do53.exit_id = 17;
+  do53.iso2 = data.intern("SE");
+  do53.do53_ms = 20.25;
+  data.add_do53(do53);
+
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("dohperf_fuzz_dataset_" + std::to_string(GetParam()));
+  const char* const files[] = {"clients.csv", "doh.csv", "do53.csv",
+                               "meta.csv"};
+  for (int i = 0; i < 40; ++i) {
+    fs::remove_all(dir);
+    measure::save_dataset(data, dir.string());
+    const fs::path victim = dir / files[rng.uniform_int(0, 3)];
+    std::string text;
+    {
+      std::ifstream in(victim, std::ios::binary);
+      text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // overwrite a few bytes
+        for (int k = 0; k < 3 && !text.empty(); ++k) {
+          text[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(text.size()) - 1))] =
+              static_cast<char>(rng.next());
+        }
+        break;
+      case 1:  // truncate
+        text.resize(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(text.size()))));
+        break;
+      default:  // duplicate everything after the header
+        text += text.substr(text.find('\n') + 1);
+        break;
+    }
+    std::ofstream(victim, std::ios::binary) << text;
+    try {
+      (void)measure::load_dataset(dir.string());
+    } catch (const std::runtime_error&) {
+      // Clean rejection is an expected path.
+    }
+  }
+  fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(0, 8));

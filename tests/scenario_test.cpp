@@ -120,6 +120,48 @@ summary_json = "out/rt.json"
   EXPECT_EQ(scenario::document_hash(again), scenario::document_hash(doc));
 }
 
+// Each named world variant (the README's preset table) is one [world]
+// line. The defaults are the calibrated paper world.
+world::WorldConfig world_of(const std::string& line) {
+  return parse_ok("[world]\n" + line + "\n").base.world;
+}
+
+const char* const kWorldPresetLines[] = {
+    "",
+    "couple_infra = false",
+    "perfect_anycast = true",
+    "tls_version = \"tls12\"",
+    "authority_city = \"Frankfurt\"",
+    "authority_city = \"Singapore\"",
+};
+
+TEST(ScenariosTest, AllPresetsResolveAndBuild) {
+  for (const char* line : kWorldPresetLines) {
+    world::WorldConfig small = world_of(line);
+    small.client_scale = 0.02;
+    small.only_countries = {"SE"};
+    EXPECT_NO_THROW(world::WorldModel world(small)) << line;
+  }
+  EXPECT_NE(parse_error("[world]\nno_such_scenario = true\n").find(
+                "no_such_scenario"),
+            std::string::npos);
+}
+
+TEST(ScenariosTest, PresetsCarryTheirSwitch) {
+  const world::WorldConfig defaults;
+  EXPECT_FALSE(world_of("couple_infra = false").couple_infra);
+  EXPECT_TRUE(world_of("perfect_anycast = true").perfect_anycast);
+  EXPECT_EQ(world_of("tls_version = \"tls12\"").tls_version,
+            transport::TlsVersion::kTls12);
+  EXPECT_EQ(world_of("authority_city = \"Frankfurt\"").authority_city,
+            "Frankfurt");
+  EXPECT_EQ(world_of("authority_city = \"Singapore\"").authority_city,
+            "Singapore");
+  EXPECT_TRUE(defaults.couple_infra);
+  EXPECT_FALSE(defaults.perfect_anycast);
+  EXPECT_EQ(defaults.tls_version, transport::TlsVersion::kTls13);
+}
+
 TEST(ScenarioSpecTest, SubMillisecondDurationSurvivesTheRoundTrip) {
   // 0.049 ms = 49 us; a truncating duration_cast of 0.048999... would
   // lose a microsecond and the canonical text would drift per cycle.

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "netsim/netctx.h"
+#include "obs/span.h"
 #include "transport/base64.h"
 #include "transport/http.h"
 #include "transport/tcp.h"
@@ -264,8 +265,8 @@ TEST_F(FlowFixture, ResponseReserializationIsStableAcrossSendRecv) {
   resp.body = std::string("\xAB\xCD\x00\x42", 4);
   const std::string wire = resp.serialize();
 
-  netsim::TraceSink trace;
-  net.trace = &trace;
+  obs::SpanContext spans;
+  net.spans = &spans;
   auto conn_task = tcp_connect(net, client, server);
   sim.run();
   const TcpConnection tcp = conn_task.result();
@@ -273,11 +274,11 @@ TEST_F(FlowFixture, ResponseReserializationIsStableAcrossSendRecv) {
 
   // Sending the message charges its full serialized size plus the record
   // overhead of the session it rides.
-  trace.clear();
+  spans.clear();
   auto send_task = tls.recv(resp);
   sim.run();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.events()[0].bytes,
+  ASSERT_EQ(spans.hop_view().size(), 1u);
+  EXPECT_EQ(spans.hop_view()[0]->bytes,
             wire.size() + kRecordOverheadBytes);
 
   // A received-then-reserialized copy is byte-identical, so re-sending it
@@ -285,11 +286,11 @@ TEST_F(FlowFixture, ResponseReserializationIsStableAcrossSendRecv) {
   const auto parsed = parse_response(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->serialize(), wire);
-  trace.clear();
+  spans.clear();
   auto resend_task = tls.recv(*parsed);
   sim.run();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.events()[0].bytes,
+  ASSERT_EQ(spans.hop_view().size(), 1u);
+  EXPECT_EQ(spans.hop_view()[0]->bytes,
             wire.size() + kRecordOverheadBytes);
 }
 

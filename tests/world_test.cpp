@@ -2,7 +2,6 @@
 // assembled ecosystem.
 #include <gtest/gtest.h>
 
-#include "world/scenarios.h"
 #include "world/sites.h"
 #include "world/world_model.h"
 
@@ -219,27 +218,6 @@ TEST_F(WorldFixture, PopBackendInflationTracksHostCountry) {
   if (africa_inflation > 0 && europe_inflation > 0) {
     EXPECT_GT(africa_inflation, europe_inflation);
   }
-}
-
-TEST(ScenariosTest, AllPresetsResolveAndBuild) {
-  EXPECT_GE(scenarios().size(), 6u);
-  for (const Scenario& s : scenarios()) {
-    const auto config = scenario_config(s.name);
-    ASSERT_TRUE(config.has_value()) << s.name;
-    WorldConfig small = *config;
-    small.client_scale = 0.02;
-    small.only_countries = {"SE"};
-    EXPECT_NO_THROW(WorldModel world(small)) << s.name;
-  }
-  EXPECT_EQ(scenario_config("no-such-scenario"), std::nullopt);
-}
-
-TEST(ScenariosTest, PresetsCarryTheirSwitch) {
-  EXPECT_FALSE(scenario_config("uniform-world")->couple_infra);
-  EXPECT_TRUE(scenario_config("perfect-anycast")->perfect_anycast);
-  EXPECT_EQ(scenario_config("tls12")->tls_version,
-            transport::TlsVersion::kTls12);
-  EXPECT_EQ(scenario_config("eu-authority")->authority_city, "Frankfurt");
 }
 
 }  // namespace

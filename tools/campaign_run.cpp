@@ -13,15 +13,21 @@
 //                       (default out/<name>-sweep.json)
 //   --procs N           sweep: concurrent worker processes
 //                       (default DOHPERF_SWEEP_PROCS, else 1)
+//   --dataset DIR       single retained run: also save the dataset
+//                       release ({clients,doh,do53,meta}.csv, loadable by
+//                       `dohperf_cli summary --in DIR`)
 //
 // Any spec defect (unknown key, type mismatch, malformed value) is one
 // line-numbered diagnostic on stderr and exit code 2 — never a silent
-// default.
+// default. So is a command-line defect: an unknown option, a missing or
+// malformed value, or --dataset on a sweep or a streaming spec.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <string>
+#include <string_view>
 
+#include "measure/dataset_io.h"
 #include "scenario/runner.h"
 #include "scenario/sweep.h"
 
@@ -32,7 +38,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: campaign_run [--print-canonical] [--hash] [--no-env] "
-               "[--out PATH] [--procs N] <spec-file>\n");
+               "[--out PATH] [--procs N] [--dataset DIR] <spec-file>\n");
   return 2;
 }
 
@@ -43,6 +49,7 @@ int main(int argc, char** argv) {
   bool print_hash = false;
   bool no_env = false;
   std::string out;
+  std::string dataset_dir;
   int procs = 0;
   std::string spec_path;
 
@@ -59,7 +66,18 @@ int main(int argc, char** argv) {
       out = argv[i];
     } else if (arg == "--procs") {
       if (++i >= argc) return usage();
-      procs = std::atoi(argv[i]);
+      const std::string_view value = argv[i];
+      const auto [end, ec] =
+          std::from_chars(value.data(), value.data() + value.size(), procs);
+      if (ec != std::errc() || end != value.data() + value.size() ||
+          procs < 1) {
+        std::fprintf(stderr, "campaign_run: --procs expects a positive "
+                             "integer, got \"%s\"\n", argv[i]);
+        return usage();
+      }
+    } else if (arg == "--dataset") {
+      if (++i >= argc) return usage();
+      dataset_dir = argv[i];
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "campaign_run: unknown option %s\n", argv[i]);
       return usage();
@@ -87,6 +105,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!no_env) scenario::apply_env_overrides(doc.base);
+  if (!dataset_dir.empty() &&
+      (doc.is_sweep() || doc.base.sink != scenario::SinkMode::kRetained)) {
+    std::fprintf(stderr,
+                 "campaign_run: --dataset needs a single run with sink = "
+                 "\"retained\"\n");
+    return 2;
+  }
 
   if (doc.is_sweep()) {
     const std::string report_path =
@@ -109,18 +134,30 @@ int main(int argc, char** argv) {
   }
 
   if (!out.empty()) doc.base.outputs.summary_json = out;
-  scenario::RunResult result = scenario::run(doc.base);
-  scenario::write_outputs(result);
-  std::printf(
-      "run %s (hash %s, sink %s): %llu sessions | %d shard(s) | "
-      "doh1 median %.3f ms | do53 median %.3f ms | %llu failed\n",
-      result.spec.name.c_str(), result.hash.c_str(),
-      std::string(scenario::to_string(result.spec.sink)).c_str(),
-      static_cast<unsigned long long>(result.stats.sessions),
-      result.stats.shards, result.doh1_median_ms, result.do53_median_ms,
-      static_cast<unsigned long long>(result.failed_measurements));
-  for (const std::string& path : result.written) {
-    std::printf("wrote %s\n", path.c_str());
+  // A failed write (an unwritable output or --dataset path) is one
+  // diagnostic and exit 1, not an abort.
+  try {
+    scenario::RunResult result = scenario::run(doc.base);
+    scenario::write_outputs(result);
+    std::printf(
+        "run %s (hash %s, sink %s): %llu sessions | %d shard(s) | "
+        "doh1 median %.3f ms | do53 median %.3f ms | %llu failed\n",
+        result.spec.name.c_str(), result.hash.c_str(),
+        std::string(scenario::to_string(result.spec.sink)).c_str(),
+        static_cast<unsigned long long>(result.stats.sessions),
+        result.stats.shards, result.doh1_median_ms, result.do53_median_ms,
+        static_cast<unsigned long long>(result.failed_measurements));
+    for (const std::string& path : result.written) {
+      std::printf("wrote %s\n", path.c_str());
+    }
+    if (!dataset_dir.empty()) {
+      measure::save_dataset(result.dataset, dataset_dir);
+      std::printf("wrote %s/{clients,doh,do53,meta}.csv\n",
+                  dataset_dir.c_str());
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "campaign_run: %s\n", e.what());
+    return 1;
   }
   return 0;
 }

@@ -1,81 +1,72 @@
-// dohperf_cli — command-line front door to the library.
-//
-//   dohperf_cli campaign  [--scale S] [--seed N] [--countries SE,BR,...]
-//                         [--out DIR]
-//       Build a world, run the measurement campaign, print the headline
-//       summary, and optionally save the dataset as CSV.
+// dohperf_cli — inspect a released dataset and validate the estimator.
 //
 //   dohperf_cli summary   --in DIR
-//       Load a saved dataset and print the headline summary.
-//
-//   dohperf_cli query     [--country ISO2] [--provider NAME] [--seed N]
-//       One DoH + Do53 measurement from a random client of the country.
+//       Load a dataset written by `campaign_run --dataset DIR` and print
+//       the headline summary.
 //
 //   dohperf_cli validate  [--country ISO2] [--seed N]
 //       Ground-truth validation (paper Section 4) for one country.
+//
+// Campaigns run from spec files (tools/campaign_run); single lookups are
+// tools/ddig. A flag without a value, an unknown flag, or a malformed
+// number prints the usage and exits 2.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "measure/campaign.h"
 #include "measure/dataset_io.h"
-#include "measure/flows.h"
 #include "measure/groundtruth.h"
 #include "measure/regression.h"
 #include "report/table.h"
 #include "stats/summary.h"
-#include "world/scenarios.h"
 #include "world/world_model.h"
 
 using namespace dohperf;
 
 namespace {
 
-/// Minimal "--key value" argument parser.
+/// A command-line defect: reported with the usage text, exit 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Strict "--key value" parser over the flags one command accepts.
 class Args {
  public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        throw std::invalid_argument(std::string("expected flag, got ") +
-                                    argv[i]);
+  Args(int argc, char** argv, std::map<std::string, std::string> defaults)
+      : values_(std::move(defaults)) {
+    for (int i = 2; i < argc; i += 2) {
+      const auto it = values_.find(
+          std::strncmp(argv[i], "--", 2) == 0 ? argv[i] + 2 : "");
+      if (it == values_.end() || i + 1 >= argc) {
+        throw UsageError(std::string("bad or incomplete flag ") + argv[i]);
       }
-      values_[argv[i] + 2] = argv[i + 1];
+      it->second = argv[i + 1];
     }
   }
 
-  [[nodiscard]] std::optional<std::string> get(const std::string& k) const {
-    const auto it = values_.find(k);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
+  /// The flag's value ("" when it has no default and was not given).
+  [[nodiscard]] const std::string& get(const std::string& k) const {
+    return values_.at(k);
   }
-  [[nodiscard]] double get_double(const std::string& k, double fallback) const {
-    const auto v = get(k);
-    return v ? std::atof(v->c_str()) : fallback;
-  }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& k,
-                                      std::uint64_t fallback) const {
-    const auto v = get(k);
-    return v ? static_cast<std::uint64_t>(std::atoll(v->c_str())) : fallback;
+  [[nodiscard]] std::uint64_t get_u64(const std::string& k) const {
+    const std::string& v = get(k);
+    std::uint64_t out = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+      throw UsageError("--" + k + " expects an unsigned integer, got \"" +
+                       v + "\"");
+    }
+    return out;
   }
 
  private:
   std::map<std::string, std::string> values_;
 };
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 void print_summary(const measure::Dataset& data) {
   report::Table table("Dataset summary");
@@ -108,119 +99,17 @@ void print_summary(const measure::Dataset& data) {
   std::fputs(table.render().c_str(), stdout);
 }
 
-int cmd_campaign(const Args& args) {
-  world::WorldConfig config;
-  if (const auto scenario = args.get("scenario")) {
-    const auto preset = world::scenario_config(*scenario);
-    if (!preset) {
-      std::fprintf(stderr, "unknown scenario \"%s\"; available:\n",
-                   scenario->c_str());
-      for (const auto& s : world::scenarios()) {
-        std::fprintf(stderr, "  %-16s %s\n", std::string(s.name).c_str(),
-                     std::string(s.description).c_str());
-      }
-      return 2;
-    }
-    config = *preset;
-  }
-  config.seed = args.get_u64("seed", 42);
-  config.client_scale = args.get_double("scale", 0.2);
-  if (const auto countries = args.get("countries")) {
-    config.only_countries = split_csv(*countries);
-  }
-  world::WorldModel world(config);
-  std::printf("world: %zu exit nodes across %zu countries (seed %llu, "
-              "scale %.2f)\n",
-              world.exit_count(), world.countries().size(),
-              static_cast<unsigned long long>(config.seed),
-              config.client_scale);
-
-  measure::CampaignConfig campaign_config;
-  campaign_config.atlas_measurements_per_country =
-      std::max(10, static_cast<int>(250 * config.client_scale));
-  measure::Campaign campaign(world, campaign_config);
-  const measure::Dataset data = campaign.run();
-  print_summary(data);
-
-  if (const auto out = args.get("out")) {
-    measure::save_dataset(data, *out);
-    std::printf("dataset saved to %s/{clients,doh,do53,meta}.csv\n",
-                out->c_str());
-  }
-  return 0;
-}
-
 int cmd_summary(const Args& args) {
-  const auto in = args.get("in");
-  if (!in) {
-    std::fprintf(stderr, "summary requires --in DIR\n");
-    return 2;
-  }
-  print_summary(measure::load_dataset(*in));
-  return 0;
-}
-
-int cmd_query(const Args& args) {
-  const std::string iso2 = args.get("country").value_or("SE");
-  const std::string provider_name =
-      args.get("provider").value_or("Cloudflare");
-
-  world::WorldConfig config;
-  config.seed = args.get_u64("seed", 42);
-  config.only_countries = {iso2};
-  world::WorldModel world(config);
-
-  const proxy::ExitNode* client =
-      world.brightdata().pick_exit(iso2, world.rng());
-  if (client == nullptr) {
-    std::fprintf(stderr, "no reachable clients in %s\n", iso2.c_str());
-    return 1;
-  }
-
-  std::size_t provider_index = 4;
-  for (std::size_t p = 0; p < world.providers().size(); ++p) {
-    if (world.providers()[p].name() == provider_name) provider_index = p;
-  }
-  if (provider_index == 4) {
-    std::fprintf(stderr, "unknown provider %s\n", provider_name.c_str());
-    return 2;
-  }
-
-  auto& provider = world.providers()[provider_index];
-  const geo::Country* country = geo::find_country(iso2);
-  const std::size_t pop =
-      provider.route(client->site.position, country->region, world.rng());
-  {
-    auto net = world.ctx();
-    auto task = measure::doh_direct(
-        net, client->site, client->default_resolver,
-        world.doh_server(provider_index, pop),
-        provider.config().doh_hostname, transport::TlsVersion::kTls13,
-        world.origin());
-    world.sim().run();
-    const auto obs = task.result();
-    std::printf("%s via %s: DoH1 %.1f ms (dns %.1f, tcp %.1f, tls %.1f, "
-                "query %.1f), DoHR %.1f ms\n",
-                provider.name().c_str(), provider.pops()[pop].city.c_str(),
-                obs.tdoh_ms(), obs.dns_ms, obs.connect_ms, obs.tls_ms,
-                obs.query_ms, obs.tdohr_ms());
-  }
-  {
-    auto net = world.ctx();
-    auto task = measure::do53_direct(
-        net, client->site, client->default_resolver,
-        world.origin().with_subdomain("cli-probe"));
-    world.sim().run();
-    std::printf("Do53 via %s: %.1f ms\n",
-                client->default_resolver->name().c_str(), task.result());
-  }
+  const std::string& in = args.get("in");
+  if (in.empty()) throw UsageError("summary requires --in DIR");
+  print_summary(measure::load_dataset(in));
   return 0;
 }
 
 int cmd_validate(const Args& args) {
-  const std::string iso2 = args.get("country").value_or("SE");
+  const std::string& iso2 = args.get("country");
   world::WorldConfig config;
-  config.seed = args.get_u64("seed", 42);
+  config.seed = args.get_u64("seed");
   config.only_countries = {iso2};
   world::WorldModel world(config);
   measure::GroundTruthLab lab(world);
@@ -243,32 +132,32 @@ int cmd_validate(const Args& args) {
   return 0;
 }
 
-void usage() {
+int usage() {
   std::fputs(
-      "usage: dohperf_cli <campaign|summary|query|validate> [--flag value]...\n"
-      "  campaign  [--scenario NAME] [--scale S] [--seed N] [--countries A,B] [--out DIR]\n"
+      "usage: dohperf_cli <summary|validate> [--flag value]...\n"
       "  summary   --in DIR\n"
-      "  query     [--country ISO2] [--provider NAME] [--seed N]\n"
       "  validate  [--country ISO2] [--seed N]\n",
       stderr);
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 2;
-  }
+  if (argc < 2) return usage();
+  const std::string command = argv[1];
   try {
-    const Args args(argc, argv);
-    const std::string command = argv[1];
-    if (command == "campaign") return cmd_campaign(args);
-    if (command == "summary") return cmd_summary(args);
-    if (command == "query") return cmd_query(args);
-    if (command == "validate") return cmd_validate(args);
-    usage();
-    return 2;
+    if (command == "summary") {
+      return cmd_summary(Args(argc, argv, {{"in", ""}}));
+    }
+    if (command == "validate") {
+      return cmd_validate(
+          Args(argc, argv, {{"country", "SE"}, {"seed", "42"}}));
+    }
+    return usage();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "dohperf_cli: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
