@@ -1,8 +1,11 @@
 #include "dns/wire.h"
 
+#include <array>
 #include <cstddef>
-#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "dns/errors.h"
 
@@ -11,64 +14,138 @@ namespace {
 
 // ---------------------------------------------------------------- writer
 
-class Writer {
+/// Sink that appends the octets to a caller-owned buffer.
+class ByteSink {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {
+  explicit ByteSink(std::vector<std::uint8_t>& out) : out_(out) {
     out_.clear();
   }
-
   void u8(std::uint8_t v) { out_.push_back(v); }
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    out_.insert(out_.end(), p, p + n);
+  }
+  [[nodiscard]] std::size_t size() const { return out_.size(); }
+  void patch_u16(std::size_t offset, std::uint16_t v) {
+    out_[offset] = static_cast<std::uint8_t>(v >> 8);
+    out_[offset + 1] = static_cast<std::uint8_t>(v);
+  }
+
+ private:
+  std::vector<std::uint8_t>& out_;
+};
+
+/// Sink that only counts the octets: wire_size() runs the encoder's own
+/// walk through it, so the size and the encoding cannot disagree.
+class CountSink {
+ public:
+  void u8(std::uint8_t) { ++size_; }
+  void bytes(const void*, std::size_t n) { size_ += n; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  void patch_u16(std::size_t, std::uint16_t) {}
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Compression targets: every name suffix written so far at an offset a
+/// pointer can address, as a view into the message being written (a
+/// label-boundary tail of some DomainName's wire buffer). Lookups are
+/// first-writer-wins; a message rarely holds more than a few dozen
+/// suffixes, so the first kInline live on the stack.
+class SuffixTable {
+ public:
+  /// Offset of an earlier suffix equal (ASCII case-folded) to `tail`.
+  [[nodiscard]] std::optional<std::uint16_t> find(
+      std::string_view tail) const {
+    for (std::size_t i = 0; i < size_; ++i) {
+      const Entry& e = i < kInline ? inline_[i] : spill_[i - kInline];
+      if (e.size == tail.size() &&
+          wire_tail_equal(std::string_view(e.data, e.size), tail)) {
+        return e.offset;
+      }
+    }
+    return std::nullopt;
+  }
+
+  void add(std::string_view tail, std::uint16_t offset) {
+    const Entry e{tail.data(), static_cast<std::uint16_t>(tail.size()),
+                  offset};
+    if (size_ < kInline) {
+      inline_[size_] = e;
+    } else {
+      spill_.push_back(e);
+    }
+    ++size_;
+  }
+
+ private:
+  struct Entry {
+    const char* data;
+    std::uint16_t size;
+    std::uint16_t offset;
+  };
+  static constexpr std::size_t kInline = 32;
+
+  std::array<Entry, kInline> inline_;
+  std::vector<Entry> spill_;
+  std::size_t size_ = 0;
+};
+
+/// The encoder, generic over where the octets go (ByteSink or CountSink).
+template <typename Sink>
+class Writer {
+ public:
+  explicit Writer(Sink sink) : sink_(std::move(sink)) {}
+
+  void u8(std::uint8_t v) { sink_.u8(v); }
   void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
+    sink_.u8(static_cast<std::uint8_t>(v >> 8));
+    sink_.u8(static_cast<std::uint8_t>(v));
   }
   void u32(std::uint32_t v) {
     u16(static_cast<std::uint16_t>(v >> 16));
     u16(static_cast<std::uint16_t>(v));
   }
   void bytes(std::span<const std::uint8_t> b) {
-    out_.insert(out_.end(), b.begin(), b.end());
+    sink_.bytes(b.data(), b.size());
   }
+  void bytes(std::string_view b) { sink_.bytes(b.data(), b.size()); }
 
-  [[nodiscard]] std::size_t size() const { return out_.size(); }
+  [[nodiscard]] std::size_t size() const { return sink_.size(); }
 
   /// Patches a previously-written big-endian u16 at `offset`.
   void patch_u16(std::size_t offset, std::uint16_t v) {
-    out_[offset] = static_cast<std::uint8_t>(v >> 8);
-    out_[offset + 1] = static_cast<std::uint8_t>(v);
+    sink_.patch_u16(offset, v);
   }
 
   /// Writes `name` using suffix compression against earlier occurrences.
   void name(const DomainName& n) {
-    const auto& labels = n.labels();
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      // Key on the lowercased presentation of the remaining suffix.
-      std::string suffix;
-      for (std::size_t j = i; j < labels.size(); ++j) {
-        for (char c : labels[j]) {
-          suffix.push_back(
-              static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-        }
-        suffix.push_back('.');
-      }
-      if (const auto it = offsets_.find(suffix); it != offsets_.end()) {
-        u16(static_cast<std::uint16_t>(0xC000 | it->second));
+    const std::string_view wire = n.wire();
+    for (std::size_t pos = 0; pos < wire.size();) {
+      const std::string_view suffix = wire.substr(pos);
+      if (const auto offset = suffixes_.find(suffix)) {
+        u16(static_cast<std::uint16_t>(0xC000 | *offset));
         return;
       }
       // Pointers can only address the first 0x3FFF octets.
-      if (size() <= 0x3FFF) offsets_.emplace(std::move(suffix), size());
-      u8(static_cast<std::uint8_t>(labels[i].size()));
-      for (char c : labels[i]) out_.push_back(static_cast<std::uint8_t>(c));
+      if (size() <= 0x3FFF) {
+        suffixes_.add(suffix, static_cast<std::uint16_t>(size()));
+      }
+      const std::size_t len = 1 + static_cast<unsigned char>(wire[pos]);
+      bytes(wire.substr(pos, len));
+      pos += len;
     }
     u8(0);  // root
   }
 
  private:
-  std::vector<std::uint8_t>& out_;
-  std::map<std::string, std::size_t> offsets_;
+  Sink sink_;
+  SuffixTable suffixes_;
 };
 
-void write_rdata(Writer& w, const RData& rdata) {
+template <typename Sink>
+void write_rdata(Writer<Sink>& w, const RData& rdata) {
   // RDLENGTH is patched after the fact because compression makes name
   // lengths position-dependent.
   const std::size_t len_at = w.size();
@@ -76,7 +153,7 @@ void write_rdata(Writer& w, const RData& rdata) {
   const std::size_t start = w.size();
 
   struct Visitor {
-    Writer& w;
+    Writer<Sink>& w;
     void operator()(const ARecord& a) const { w.u32(a.address); }
     void operator()(const AaaaRecord& a) const { w.bytes(a.address); }
     void operator()(const NsRecord& ns) const { w.name(ns.nameserver); }
@@ -103,9 +180,7 @@ void write_rdata(Writer& w, const RData& rdata) {
       while (pos < t.text.size() || pos == 0) {
         const std::size_t chunk = std::min<std::size_t>(255, t.text.size() - pos);
         w.u8(static_cast<std::uint8_t>(chunk));
-        for (std::size_t i = 0; i < chunk; ++i) {
-          w.u8(static_cast<std::uint8_t>(t.text[pos + i]));
-        }
+        w.bytes(std::string_view(t.text).substr(pos, chunk));
         pos += chunk;
         if (pos >= t.text.size()) break;
       }
@@ -116,7 +191,8 @@ void write_rdata(Writer& w, const RData& rdata) {
   w.patch_u16(len_at, static_cast<std::uint16_t>(w.size() - start));
 }
 
-void write_record(Writer& w, const ResourceRecord& rr) {
+template <typename Sink>
+void write_record(Writer<Sink>& w, const ResourceRecord& rr) {
   if (rr.type() == RecordType::kOpt) {
     // RFC 6891: OPT lives at the root name; the class field carries the
     // UDP payload size, the TTL the extended flags.
@@ -145,6 +221,25 @@ std::uint16_t pack_flags(const Header& h) {
   if (h.ra) f |= 0x0080;
   f |= static_cast<std::uint16_t>(static_cast<unsigned>(h.rcode) & 0xF);
   return f;
+}
+
+template <typename Sink>
+void write_message(Writer<Sink>& w, const Message& msg) {
+  w.u16(msg.header.id);
+  w.u16(pack_flags(msg.header));
+  w.u16(static_cast<std::uint16_t>(msg.questions.size()));
+  w.u16(static_cast<std::uint16_t>(msg.answers.size()));
+  w.u16(static_cast<std::uint16_t>(msg.authorities.size()));
+  w.u16(static_cast<std::uint16_t>(msg.additionals.size()));
+
+  for (const Question& q : msg.questions) {
+    w.name(q.name);
+    w.u16(static_cast<std::uint16_t>(q.type));
+    w.u16(static_cast<std::uint16_t>(q.rclass));
+  }
+  for (const auto& rr : msg.answers) write_record(w, rr);
+  for (const auto& rr : msg.authorities) write_record(w, rr);
+  for (const auto& rr : msg.additionals) write_record(w, rr);
 }
 
 // ---------------------------------------------------------------- reader
@@ -183,7 +278,8 @@ class Reader {
 
   /// Reads a possibly-compressed name starting at the cursor.
   DomainName name() {
-    std::vector<std::string> labels;
+    std::string labels;  // length-prefixed, as DomainName stores them
+    std::size_t count = 0;
     std::size_t jumps = 0;
     std::size_t return_to = 0;
     bool jumped = false;
@@ -208,13 +304,13 @@ class Reader {
       }
       if ((len & 0xC0) != 0) throw ParseError("reserved label type");
       const auto raw = bytes(len);
-      labels.emplace_back(reinterpret_cast<const char*>(raw.data()),
-                          raw.size());
-      if (labels.size() > 128) throw ParseError("too many labels");
+      labels.push_back(static_cast<char>(len));
+      labels.append(reinterpret_cast<const char*>(raw.data()), raw.size());
+      if (++count > 128) throw ParseError("too many labels");
     }
     if (jumped) seek(return_to);
     try {
-      return DomainName::from_labels(std::move(labels));
+      return DomainName::from_wire(std::move(labels));
     } catch (const NameError& e) {
       throw ParseError(e.what());
     }
@@ -342,22 +438,8 @@ std::vector<std::uint8_t> encode(const Message& msg) {
 }
 
 void encode_into(const Message& msg, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u16(msg.header.id);
-  w.u16(pack_flags(msg.header));
-  w.u16(static_cast<std::uint16_t>(msg.questions.size()));
-  w.u16(static_cast<std::uint16_t>(msg.answers.size()));
-  w.u16(static_cast<std::uint16_t>(msg.authorities.size()));
-  w.u16(static_cast<std::uint16_t>(msg.additionals.size()));
-
-  for (const Question& q : msg.questions) {
-    w.name(q.name);
-    w.u16(static_cast<std::uint16_t>(q.type));
-    w.u16(static_cast<std::uint16_t>(q.rclass));
-  }
-  for (const auto& rr : msg.answers) write_record(w, rr);
-  for (const auto& rr : msg.authorities) write_record(w, rr);
-  for (const auto& rr : msg.additionals) write_record(w, rr);
+  Writer w{ByteSink(out)};
+  write_message(w, msg);
 }
 
 Message decode(std::span<const std::uint8_t> wire) {
@@ -391,12 +473,9 @@ Message decode(std::span<const std::uint8_t> wire) {
 }
 
 std::size_t wire_size(const Message& msg) {
-  // Sizing is pure bookkeeping on the simulator hot path (every send and
-  // recv of every flow); reuse one scratch buffer per thread instead of
-  // allocating a wire image just to measure it.
-  thread_local std::vector<std::uint8_t> scratch;
-  encode_into(msg, scratch);
-  return scratch.size();
+  Writer w{CountSink()};
+  write_message(w, msg);
+  return w.size();
 }
 
 }  // namespace dohperf::dns

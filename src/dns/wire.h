@@ -15,9 +15,6 @@ namespace dohperf::dns {
 [[nodiscard]] std::vector<std::uint8_t> encode(const Message& msg);
 
 /// encode() into a caller-owned buffer (cleared first, capacity kept).
-/// The hot session loop sizes every send/recv off wire_size(); routing
-/// the serialisation through a reused buffer keeps it off the global
-/// allocator.
 void encode_into(const Message& msg, std::vector<std::uint8_t>& out);
 
 /// Parses a wire-format message. Throws ParseError on truncated input,
@@ -25,7 +22,8 @@ void encode_into(const Message& msg, std::vector<std::uint8_t>& out);
 /// unknown record types.
 [[nodiscard]] Message decode(std::span<const std::uint8_t> wire);
 
-/// Size in octets that `msg` occupies on the wire (encodes internally).
+/// Size in octets that `msg` occupies on the wire: the encoder's own walk
+/// (compression included) with the octets counted instead of stored.
 [[nodiscard]] std::size_t wire_size(const Message& msg);
 
 }  // namespace dohperf::dns

@@ -14,7 +14,7 @@ void Zone::add(ResourceRecord rr) {
     throw NameError("record " + rr.name.to_string() + " outside zone " +
                     origin_.to_string());
   }
-  if (!rr.name.empty() && rr.name.labels().front() == "*") {
+  if (!rr.name.empty() && rr.name.label(0) == "*") {
     ResourceRecord wild = rr;
     wildcard_[rr.type()].push_back(std::move(wild));
     return;

@@ -1,17 +1,15 @@
 // Time-ordered event queue for the discrete-event simulator.
 //
-// Implemented as a flat binary min-heap over movable callback slots.
-// std::priority_queue only exposes const access to top(), which used to
-// force a std::shared_ptr<Callback> per event just to move the callback
-// out on pop. The flat heap owns its slots, so push() stores the callback
-// in place and pop() moves it straight out: no per-event heap allocation
-// beyond the callback itself — and the simulator's callbacks (coroutine
-// resumptions, a single handle) fit std::function's small-buffer storage,
-// so the steady-state hot loop allocates nothing at all.
+// Implemented as a flat binary min-heap of (time, sequence, callback)
+// slots. The callback is two words, a function pointer and its argument,
+// so a slot is trivially copyable: every sift step is a plain 32-byte
+// copy and nothing is ever allocated per event. The simulator's only
+// event is a coroutine resumption, which fits the two words exactly.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "netsim/time.h"
@@ -22,7 +20,34 @@ namespace dohperf::netsim {
 /// insertion order, making simulations fully deterministic.
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  /// A two-word, trivially copyable event: `fn(arg)`. Built from a
+  /// coroutine handle (resumed when the event fires) or from any callable
+  /// that converts to a plain function pointer (a capture-less lambda).
+  class Callback {
+   public:
+    Callback() = default;
+
+    Callback(std::coroutine_handle<> h) noexcept
+        : fn_(&resume), arg_(h.address()) {}
+
+    template <typename F>
+      requires std::is_convertible_v<F, void (*)()>
+    Callback(F f) noexcept
+        : fn_(&call),
+          arg_(reinterpret_cast<void*>(static_cast<void (*)()>(f))) {}
+
+    void operator()() const { fn_(arg_); }
+
+   private:
+    static void resume(void* address) {
+      std::coroutine_handle<>::from_address(address).resume();
+    }
+    static void call(void* fn) { reinterpret_cast<void (*)()>(fn)(); }
+
+    void (*fn_)(void*) = nullptr;
+    void* arg_ = nullptr;
+  };
+  static_assert(std::is_trivially_copyable_v<Callback>);
 
   /// Enqueues `fn` to fire at absolute time `at`.
   void push(SimTime at, Callback fn);

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "netsim/faultplan.h"
@@ -70,10 +71,11 @@ struct NetCtx {
   /// under whatever labels the owner last set.
   obs::AttributionRecorder attribution{};
 
-  /// Opens a named span (no-op guard when no span context is attached).
-  [[nodiscard]] obs::ScopedSpan span(std::string name) {
+  /// Opens a named span (no-op guard when no span context is attached;
+  /// the name is only copied into a string when one is).
+  [[nodiscard]] obs::ScopedSpan span(std::string_view name) {
     return spans != nullptr
-               ? obs::ScopedSpan(spans, sim, std::move(name))
+               ? obs::ScopedSpan(spans, sim, std::string(name))
                : obs::ScopedSpan();
   }
 

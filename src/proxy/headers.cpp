@@ -1,16 +1,20 @@
 #include "proxy/headers.h"
 
 #include <charconv>
-#include <cstdio>
 #include <vector>
 
 namespace dohperf::proxy {
 namespace {
 
-std::string format_ms(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
+/// Appends `key`=`v` with three fixed decimals (printf "%.3f": to_chars
+/// with a precision formats as printf does in the C locale).
+void append_ms(std::string& out, std::string_view key, double v) {
+  out += key;
+  out += '=';
+  char buf[512];  // room for any finite double in fixed notation
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 3).ptr;
+  out.append(buf, end);
 }
 
 /// Parses "k1=v1 k2=v2 ..." into ordered (key, value) pairs; nullopt on
@@ -43,12 +47,21 @@ std::optional<std::vector<std::pair<std::string_view, double>>> parse_kv(
 }  // namespace
 
 std::string format_tun_timeline(const TunTimeline& t) {
-  return "dns=" + format_ms(t.dns_ms) + " connect=" + format_ms(t.connect_ms);
+  std::string out;
+  out.reserve(32);
+  append_ms(out, "dns", t.dns_ms);
+  append_ms(out, " connect", t.connect_ms);
+  return out;
 }
 
 std::string format_timeline(const BrightDataTimeline& t) {
-  return "auth=" + format_ms(t.auth_ms) + " init=" + format_ms(t.init_ms) +
-         " select=" + format_ms(t.select_ms) + " vld=" + format_ms(t.vld_ms);
+  std::string out;
+  out.reserve(64);
+  append_ms(out, "auth", t.auth_ms);
+  append_ms(out, " init", t.init_ms);
+  append_ms(out, " select", t.select_ms);
+  append_ms(out, " vld", t.vld_ms);
+  return out;
 }
 
 std::optional<TunTimeline> parse_tun_timeline(std::string_view text) {

@@ -4,12 +4,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "obs/json.h"
 
@@ -90,18 +92,30 @@ std::vector<SweepCell> expand(const SpecDocument& doc) {
   return cells;
 }
 
-int processes_from_env() {
+std::optional<int> processes_from_env(std::string* error) {
   const char* value = std::getenv("DOHPERF_SWEEP_PROCS");
   if (value == nullptr) return 1;
-  const int procs = std::atoi(value);
-  return procs > 0 ? procs : 1;
+  const std::string_view text = value;
+  int procs = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), procs);
+  if (ec != std::errc() || end != text.data() + text.size() || procs < 1) {
+    *error = "DOHPERF_SWEEP_PROCS expects a positive integer, got \"" +
+             std::string(text) + "\"";
+    return std::nullopt;
+  }
+  return procs;
 }
 
 bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
                const std::string& report_path, std::string* error) {
+  int procs = options.processes;
+  if (procs < 1) {
+    const std::optional<int> from_env = processes_from_env(error);
+    if (!from_env) return false;
+    procs = *from_env;
+  }
   const std::vector<SweepCell> cells = expand(doc);
-  const int procs = options.processes > 0 ? options.processes
-                                          : processes_from_env();
   const std::string runner =
       options.runner.empty() ? self_exe() : options.runner;
   if (runner.empty()) {

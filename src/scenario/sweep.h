@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,9 +38,11 @@ struct SweepCell {
 /// cannot fail.
 [[nodiscard]] std::vector<SweepCell> expand(const SpecDocument& doc);
 
-/// DOHPERF_SWEEP_PROCS from the environment (minimum 1; default 1 —
-/// serial, respecting single-CPU containers).
-[[nodiscard]] int processes_from_env();
+/// DOHPERF_SWEEP_PROCS from the environment (default 1 when unset —
+/// serial, respecting single-CPU hosts). A value that is not a positive
+/// decimal integer is an error: returns nullopt with one diagnostic in
+/// `*error`.
+[[nodiscard]] std::optional<int> processes_from_env(std::string* error);
 
 struct SweepOptions {
   /// Worker binary fork/exec'd per cell (invoked as

@@ -68,6 +68,12 @@ std::optional<std::string_view> HeaderMap::get(std::string_view name) const {
   return std::nullopt;
 }
 
+std::size_t HeaderMap::wire_size() const {
+  std::size_t n = 2;  // blank line
+  for (const auto& [name, value] : fields_) n += name.size() + value.size() + 4;
+  return n;
+}
+
 std::string HttpRequest::serialize() const {
   std::string out;
   out.reserve(128 + body.size());
@@ -82,6 +88,12 @@ std::string HttpRequest::serialize() const {
   return out;
 }
 
+std::size_t HttpRequest::wire_size() const {
+  // "METHOD TARGET VERSION\r\n"
+  return method.size() + target.size() + version.size() + 4 +
+         headers.wire_size() + body.size();
+}
+
 std::string HttpResponse::serialize() const {
   std::string out;
   out.reserve(128 + body.size());
@@ -94,6 +106,15 @@ std::string HttpResponse::serialize() const {
   serialize_headers(headers, out);
   out += body;
   return out;
+}
+
+std::size_t HttpResponse::wire_size() const {
+  char digits[16];
+  const auto status_end =
+      std::to_chars(digits, digits + sizeof digits, status).ptr;
+  // "VERSION STATUS REASON\r\n"
+  return version.size() + static_cast<std::size_t>(status_end - digits) +
+         reason.size() + 4 + headers.wire_size() + body.size();
 }
 
 std::optional<HttpRequest> parse_request(std::string_view text) {

@@ -30,6 +30,9 @@ class HeaderMap {
     return get(name).has_value();
   }
   [[nodiscard]] std::size_t size() const { return fields_.size(); }
+  /// Octets the fields occupy serialised: "Name: value\r\n" each, plus
+  /// the blank line that ends the header block.
+  [[nodiscard]] std::size_t wire_size() const;
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
   fields() const {
     return fields_;
@@ -48,7 +51,8 @@ struct HttpRequest {
   std::string body;
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] std::size_t wire_size() const { return serialize().size(); }
+  /// serialize().size(), summed from the parts without building them.
+  [[nodiscard]] std::size_t wire_size() const;
 };
 
 /// An HTTP response.
@@ -60,7 +64,8 @@ struct HttpResponse {
   std::string body;
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] std::size_t wire_size() const { return serialize().size(); }
+  /// serialize().size(), summed from the parts without building them.
+  [[nodiscard]] std::size_t wire_size() const;
 };
 
 /// Parse errors carry a human-readable reason.

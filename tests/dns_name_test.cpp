@@ -10,7 +10,7 @@ namespace {
 TEST(DomainNameTest, ParseSimple) {
   const auto name = DomainName::parse("www.example.com");
   EXPECT_EQ(name.label_count(), 3u);
-  EXPECT_EQ(name.labels()[0], "www");
+  EXPECT_EQ(name.label(0), "www");
   EXPECT_EQ(name.to_string(), "www.example.com");
 }
 

@@ -14,6 +14,7 @@
 #include "netsim/netctx.h"
 #include "netsim/path.h"
 #include "netsim/random.h"
+#include "netsim/resume_probe.h"
 #include "netsim/simulator.h"
 #include "netsim/task.h"
 #include "netsim/time.h"
@@ -145,9 +146,12 @@ TEST(RngTest, StringSplitStable) {
 TEST(EventQueueTest, OrdersByTime) {
   EventQueue q;
   std::vector<int> fired;
-  q.push(SimTime{Duration(300)}, [&] { fired.push_back(3); });
-  q.push(SimTime{Duration(100)}, [&] { fired.push_back(1); });
-  q.push(SimTime{Duration(200)}, [&] { fired.push_back(2); });
+  ResumeProbe one([&] { fired.push_back(1); });
+  ResumeProbe two([&] { fired.push_back(2); });
+  ResumeProbe three([&] { fired.push_back(3); });
+  q.push(SimTime{Duration(300)}, three.handle());
+  q.push(SimTime{Duration(100)}, one.handle());
+  q.push(SimTime{Duration(200)}, two.handle());
   while (!q.empty()) q.pop()();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
@@ -156,7 +160,11 @@ TEST(EventQueueTest, TiesFireInInsertionOrder) {
   EventQueue q;
   std::vector<int> fired;
   const SimTime t{Duration(100)};
-  for (int i = 0; i < 10; ++i) q.push(t, [&fired, i] { fired.push_back(i); });
+  std::vector<ResumeProbe> probes;
+  for (int i = 0; i < 10; ++i) {
+    probes.emplace_back([&fired, i] { fired.push_back(i); });
+  }
+  for (const ResumeProbe& p : probes) q.push(t, p.handle());
   while (!q.empty()) q.pop()();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
 }
@@ -177,12 +185,14 @@ TEST(EventQueueTest, InterleavedStressMatchesStableSort) {
   EventQueue q;
   std::vector<std::pair<std::int64_t, int>> reference;  // (time, id)
   std::vector<int> popped;
+  std::vector<ResumeProbe> probes;
   int next_id = 0;
   for (int round = 0; round < 2000; ++round) {
     if (q.empty() || rng.uniform() < 0.6) {
       const auto t = rng.uniform_int(0, 50);
       const int id = next_id++;
-      q.push(SimTime{Duration(t)}, [&popped, id] { popped.push_back(id); });
+      probes.emplace_back([&popped, id] { popped.push_back(id); });
+      q.push(SimTime{Duration(t)}, probes.back().handle());
       reference.emplace_back(t, id);
     } else {
       q.pop()();
@@ -211,9 +221,11 @@ TEST(EventQueueTest, BulkDrainIsStableSorted) {
   EventQueue q;
   std::vector<std::pair<std::int64_t, int>> reference;
   std::vector<int> popped;
+  std::vector<ResumeProbe> probes;
   for (int id = 0; id < 5000; ++id) {
     const auto t = rng.uniform_int(0, 100);
-    q.push(SimTime{Duration(t)}, [&popped, id] { popped.push_back(id); });
+    probes.emplace_back([&popped, id] { popped.push_back(id); });
+    q.push(SimTime{Duration(t)}, probes.back().handle());
     reference.emplace_back(t, id);
   }
   std::stable_sort(reference.begin(), reference.end(),
@@ -230,7 +242,8 @@ TEST(EventQueueTest, BulkDrainIsStableSorted) {
 TEST(SimulatorTest, AdvancesClockThroughEvents) {
   Simulator sim;
   SimTime seen{};
-  sim.schedule_in(from_ms(5.0), [&] { seen = sim.now(); });
+  ResumeProbe record([&] { seen = sim.now(); });
+  sim.schedule_in(from_ms(5.0), record.handle());
   sim.run();
   EXPECT_EQ(seen, SimTime{} + from_ms(5.0));
   EXPECT_EQ(sim.now(), SimTime{} + from_ms(5.0));
@@ -244,19 +257,24 @@ TEST(SimulatorTest, RunReturnsEventCount) {
 
 TEST(SimulatorTest, PastEventsClampToNow) {
   Simulator sim;
-  sim.schedule_in(from_ms(10.0), [&] {
+  std::vector<SimTime> fired;
+  ResumeProbe inner([&] { fired.push_back(sim.now()); });
+  ResumeProbe outer([&] {
     // Scheduling "in the past" fires immediately rather than rewinding.
-    sim.schedule_at(SimTime{}, [&] { EXPECT_GE(sim.now().time_since_epoch(),
-                                               from_ms(10.0)); });
+    sim.schedule_at(SimTime{}, inner.handle());
   });
+  sim.schedule_in(from_ms(10.0), outer.handle());
   sim.run();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_GE(fired[0].time_since_epoch(), from_ms(10.0));
 }
 
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;
-  sim.schedule_in(from_ms(1.0), [&] { ++fired; });
-  sim.schedule_in(from_ms(100.0), [&] { ++fired; });
+  ResumeProbe count([&] { ++fired; });
+  sim.schedule_in(from_ms(1.0), count.handle());
+  sim.schedule_in(from_ms(100.0), count.handle());
   sim.run_until(SimTime{} + from_ms(10.0));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.pending_events(), 1u);
@@ -267,12 +285,13 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
 TEST(SimulatorTest, NestedScheduling) {
   Simulator sim;
   std::vector<double> times;
-  sim.schedule_in(from_ms(1.0), [&] {
+  ResumeProbe inner(
+      [&] { times.push_back(to_ms(sim.now().time_since_epoch())); });
+  ResumeProbe outer([&] {
     times.push_back(to_ms(sim.now().time_since_epoch()));
-    sim.schedule_in(from_ms(2.0), [&] {
-      times.push_back(to_ms(sim.now().time_since_epoch()));
-    });
+    sim.schedule_in(from_ms(2.0), inner.handle());
   });
+  sim.schedule_in(from_ms(1.0), outer.handle());
   sim.run();
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[0], 1.0);

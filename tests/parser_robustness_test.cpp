@@ -66,6 +66,44 @@ TEST_P(FuzzSweep, DnsDecodeSurvivesBitflippedValidMessages) {
   }
 }
 
+TEST_P(FuzzSweep, WireSizeMatchesEncodeOnMutatedWiresThatDecode) {
+  // Mutate a compressed response; whatever still decodes must be priced
+  // by wire_size() exactly as long as its re-encoding.
+  dns::Message resp = dns::Message::make_response(dns::Message::make_query(
+      0x2222, dns::DomainName::parse("f47ac10b.Example.com")));
+  dns::ResourceRecord cname;
+  cname.name = dns::DomainName::parse("F47AC10B.example.com");
+  cname.rdata = dns::CnameRecord{dns::DomainName::parse("cdn.example.COM")};
+  resp.answers.push_back(cname);
+  dns::SoaRecord soa;
+  soa.mname = dns::DomainName::parse("ns1.example.com");
+  soa.rname = dns::DomainName::parse("hostmaster.Example.com");
+  dns::ResourceRecord authority;
+  authority.name = dns::DomainName::parse("example.com");
+  authority.rdata = soa;
+  resp.authorities.push_back(authority);
+  const auto wire = dns::encode(resp);
+  int decoded = 0;
+  for (int i = 0; i < 400; ++i) {
+    auto mutated = wire;
+    const int flips = static_cast<int>(rng.uniform_int(1, 3));
+    for (int f = 0; f < flips; ++f) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
+      mutated[pos] ^= static_cast<std::uint8_t>(1 << rng.uniform_int(0, 7));
+    }
+    dns::Message msg;
+    try {
+      msg = dns::decode(mutated);
+    } catch (const dns::ParseError&) {
+      continue;
+    }
+    ++decoded;
+    EXPECT_EQ(dns::wire_size(msg), dns::encode(msg).size());
+  }
+  EXPECT_GT(decoded, 0);
+}
+
 TEST_P(FuzzSweep, DnsDecodeSurvivesTruncationAtEveryLength) {
   const auto wire = dns::encode(dns::Message::make_query(
       1, dns::DomainName::parse("some-long-uuid-label.a.com")));

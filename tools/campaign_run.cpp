@@ -24,6 +24,7 @@
 #include <charconv>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -114,6 +115,17 @@ int main(int argc, char** argv) {
   }
 
   if (doc.is_sweep()) {
+    // Resolve the worker count before anything runs: a malformed
+    // DOHPERF_SWEEP_PROCS is a usage error, like a malformed --procs.
+    if (procs == 0) {
+      std::string error;
+      const std::optional<int> from_env = scenario::processes_from_env(&error);
+      if (!from_env) {
+        std::fprintf(stderr, "campaign_run: %s\n", error.c_str());
+        return 2;
+      }
+      procs = *from_env;
+    }
     const std::string report_path =
         out.empty() ? "out/" + doc.base.name + "-sweep.json" : out;
     scenario::SweepOptions options;
